@@ -49,7 +49,6 @@ let committed t records =
 
 let snapshot_exists ~dir =
   Sys.file_exists (Filename.concat dir "snapshot.eagerdb")
-  || Sys.file_exists (Filename.concat dir "schema.sql")
 
 (* abort payloads are the decimal seq of the victim record *)
 let aborted_seqs records =

@@ -15,7 +15,7 @@ type options = {
   use_indexes : bool;
   governor : Governor.t;
   batch_rows : int;
-  spill : Spill.config option;
+  spill : Spill.config;
 }
 
 let default_options =
@@ -26,7 +26,7 @@ let default_options =
     use_indexes = true;
     governor = Governor.unlimited;
     batch_rows = Batch.default_rows;
-    spill = None;
+    spill = Spill.unbounded;
   }
 
 type profile = { peak_live_rows : int; batch_rows : int }
@@ -194,19 +194,25 @@ let array_source ~batch_rows ~tr ~held schema (arr : Row.t array) : cursor =
     end
 
 (* Adapters between the batched pull pipeline and the row streams the
-   spill algorithms speak. *)
+   spill algorithms speak.  Both stop at the first [None], so a drained
+   child is never pulled again (its boundary would fire [exec.next]
+   once more). *)
 let rows_of_cursor (c : cursor) : Spill.row_stream =
   let batch = ref None in
   let i = ref 0 in
+  let finished = ref false in
   let rec next () =
     match !batch with
     | Some b when !i < Batch.length b ->
         let row = Batch.get b !i in
         incr i;
         Some row
+    | _ when !finished -> None
     | _ -> (
         match c () with
-        | None -> None
+        | None ->
+            finished := true;
+            None
         | Some b ->
             batch := Some b;
             i := 0;
@@ -216,17 +222,18 @@ let rows_of_cursor (c : cursor) : Spill.row_stream =
 
 let cursor_of_rows ~batch_rows schema (s : Spill.row_stream) : cursor =
   let out = Batch.create ~capacity:batch_rows schema in
+  let finished = ref false in
   fun () ->
     Batch.clear out;
     let rec fill () =
       if not (Batch.is_full out) then
         match s () with
-        | None -> ()
+        | None -> finished := true
         | Some row ->
             Batch.add out row;
             fill ()
     in
-    fill ();
+    if not !finished then fill ();
     if Batch.is_empty out then None else Some out
 
 (* ------------------------------------------------------------------ *)
@@ -264,43 +271,6 @@ let map_cursor ~batch_rows schema f (child : cursor) : cursor =
         Batch.clear out;
         Batch.iter (fun row -> Batch.add out (f row)) b;
         Some out
-
-(* DISTINCT projection streams first occurrences; the seen-key table is
-   the only state it holds (one entry per retained row). *)
-let dedup_cursor ~batch_rows ~tr schema idxs (child : cursor) : cursor =
-  let seen = Hashtbl.create 256 in
-  let out = Batch.create ~capacity:batch_rows schema in
-  let closed = ref false in
-  fun () ->
-    if !closed then None
-    else begin
-      Batch.clear out;
-      let result = ref None in
-      let go = ref true in
-      while !go do
-        match child () with
-        | None ->
-            go := false;
-            closed := true;
-            release tr (Hashtbl.length seen);
-            if not (Batch.is_empty out) then result := Some out
-        | Some b ->
-            Batch.iter
-              (fun row ->
-                let key = Row.key_on idxs row in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  acquire tr 1;
-                  Batch.add out (Row.project idxs row)
-                end)
-              b;
-            if not (Batch.is_empty out) then begin
-              go := false;
-              result := Some out
-            end
-      done;
-      !result
-    end
 
 (* ------------------------------------------------------------------ *)
 (* joins                                                               *)
@@ -354,79 +324,6 @@ let nested_loop_cursor ~batch_rows ~tr schema pred_opt (lchild : cursor)
                       closed := true;
                       release tr ninner;
                       if not (Batch.is_empty out) then result := Some out)
-          done;
-          !result
-        end)
-
-(* Hash join builds on the LEFT input and streams the probe from the
-   right — the Volcano convention.  This is what makes the eager rewrite
-   visible in memory, not just time: in E2 the build side is the
-   already-aggregated [R1'], so the hash table holds one row per group
-   instead of one per base row.  Output order follows the probe side. *)
-let hash_join_cursor ~batch_rows ~tr schema residual lidx ridx
-    (lchild : cursor) (rchild : cursor) : cursor =
-  deferred (fun () ->
-      let build : (Value.t list, Row.t) Hashtbl.t = Hashtbl.create 1024 in
-      let count = ref 0 in
-      let rec load () =
-        match lchild () with
-        | None -> ()
-        | Some b ->
-            Batch.iter
-              (fun l ->
-                if all_non_null lidx l then begin
-                  Hashtbl.add build (Row.key_on lidx l) l;
-                  incr count;
-                  acquire tr 1
-                end)
-              b;
-            load ()
-      in
-      load ();
-      let out = Batch.create ~capacity:batch_rows schema in
-      let pending = ref [] in
-      let cur = ref dummy_row in
-      let pbatch = ref None in
-      let pi = ref 0 in
-      let closed = ref false in
-      fun () ->
-        if !closed then None
-        else begin
-          Batch.clear out;
-          let result = ref None in
-          let go = ref true in
-          while !go do
-            if Batch.is_full out then begin
-              go := false;
-              result := Some out
-            end
-            else
-              match !pending with
-              | l :: rest ->
-                  pending := rest;
-                  let row = Row.concat l !cur in
-                  (match residual with
-                  | Some p when not (Tbool.holds (p row)) -> ()
-                  | _ -> Batch.add out row)
-              | [] -> (
-                  match !pbatch with
-                  | Some b when !pi < Batch.length b ->
-                      let r = Batch.get b !pi in
-                      incr pi;
-                      if all_non_null ridx r then begin
-                        cur := r;
-                        pending := Hashtbl.find_all build (Row.key_on ridx r)
-                      end
-                  | _ -> (
-                      match rchild () with
-                      | Some b ->
-                          pbatch := Some b;
-                          pi := 0
-                      | None ->
-                          go := false;
-                          closed := true;
-                          release tr !count;
-                          if not (Batch.is_empty out) then result := Some out))
           done;
           !result
         end)
@@ -519,50 +416,6 @@ let merge_join_cursor ~batch_rows ~tr schema residual lidx ridx ~lsorted
 (* ------------------------------------------------------------------ *)
 (* grouping                                                            *)
 
-(* Hash aggregation: the group table (one repr row + accumulators per
-   group) is the breaker state; input rows stream through and are never
-   retained.  Emission is in first-seen order, so sorted input produces
-   sorted output. *)
-let hash_group_cursor ~batch_rows ~tr ~gov schema by_idx compiled
-    (child : cursor) : cursor =
-  deferred (fun () ->
-      let groups : (Value.t list, Row.t * Agg_exec.group_state) Hashtbl.t =
-        Hashtbl.create 256
-      in
-      let order = ref [] in
-      let rec load () =
-        match child () with
-        | None -> ()
-        | Some b ->
-            Batch.iter
-              (fun row ->
-                let key = Row.key_on by_idx row in
-                match Hashtbl.find_opt groups key with
-                | Some (_, state) -> Agg_exec.update compiled state row
-                | None ->
-                    let state = Agg_exec.fresh compiled in
-                    Agg_exec.update compiled state row;
-                    Hashtbl.add groups key (row, state);
-                    acquire tr 1;
-                    (* bound the aggregation hash table while it grows,
-                       not only at the cursor boundary *)
-                    Governor.charge_groups gov (Hashtbl.length groups);
-                    order := key :: !order)
-              b;
-            load ()
-      in
-      load ();
-      let held = Hashtbl.length groups in
-      let rows =
-        List.rev !order
-        |> List.map (fun key ->
-               let repr, state = Hashtbl.find groups key in
-               Array.append (Row.project by_idx repr)
-                 (Agg_exec.finalize compiled state))
-        |> Array.of_list
-      in
-      array_source ~batch_rows ~tr ~held schema rows)
-
 (* Partial pre-aggregation: a bounded group table that flushes its
    (group, partial-accumulator) rows whenever it reaches [cap] live
    groups, so memory stays O(cap + one batch) no matter how many groups
@@ -639,32 +492,6 @@ let partial_group_cursor ~batch_rows ~tr ~gov schema by_idx compiled ~cap
     done;
     if Batch.is_empty out then None else Some out
 
-(* Sort aggregation: the sort buffer is the breaker state. *)
-let sort_group_cursor ~batch_rows ~tr schema by_idx compiled ~presorted
-    (child : cursor) : cursor =
-  deferred (fun () ->
-      let rows = drain tr child in
-      if not presorted then Array.sort (Row.compare_on by_idx) rows;
-      let n = Array.length rows in
-      let out = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        let state = Agg_exec.fresh compiled in
-        let repr = rows.(!i) in
-        let j = ref !i in
-        while !j < n && Row.compare_on by_idx repr rows.(!j) = 0 do
-          Agg_exec.update compiled state rows.(!j);
-          incr j
-        done;
-        out :=
-          Array.append (Row.project by_idx repr)
-            (Agg_exec.finalize compiled state)
-          :: !out;
-        i := !j
-      done;
-      array_source ~batch_rows ~tr ~held:n schema
-        (Array.of_list (List.rev !out)))
-
 (* SQL scalar aggregation yields one row even for empty input; the
    paper's G[GA] (scalar = false) yields zero groups instead. *)
 let scalar_fallback compiled schema (inner : cursor) : cursor =
@@ -691,6 +518,14 @@ let run_profiled ?(options = default_options) db plan =
   let gov = options.governor in
   let batch_rows = Batch.clamp_capacity options.batch_rows in
   let tr = { live = 0; peak = 0 } in
+  (* every hash join, hash aggregation, DISTINCT and sort runs through
+     [Spill]; the RAM engine's unbounded config never spills and is the
+     only one whose hash breakers keep an order worth claiming *)
+  let sp = options.spill in
+  let keeps_order = Spill.keeps_order sp in
+  let spilled schema (stream : unit -> Spill.row_stream) : cursor =
+    deferred (fun () -> cursor_of_rows ~batch_rows schema (stream ()))
+  in
   let rec compile (p : Plan.t) : cursor * Schema.t * opstat * Colref.t list =
     let label = Plan.label p in
     match p with
@@ -777,25 +612,21 @@ let run_profiled ?(options = default_options) db plan =
         let schema = Schema.project in_schema cols in
         let st = opstat label [ cst ] in
         let cur =
-          match (dedup, options.spill) with
-          | true, Some sp ->
-              (* DISTINCT as a degenerate spilling aggregation: state-less
-                 groups whose repr row is the projected output *)
-              deferred (fun () ->
-                  cursor_of_rows ~batch_rows schema
-                    (Spill.hash_agg sp ~gov ~acquire:(acquire tr)
-                       ~release:(release tr) ~key:(Row.key_on idxs)
-                       ~fresh:(fun () -> ())
-                       ~absorb:(fun () _ -> ())
-                       ~emit:(fun repr () -> Row.project idxs repr)
-                       (rows_of_cursor child)))
-          | true, None -> dedup_cursor ~batch_rows ~tr schema idxs child
-          | false, _ ->
-              map_cursor ~batch_rows schema (fun row -> Row.project idxs row)
-                child
+          if dedup then
+            (* DISTINCT as a degenerate aggregation: state-less groups
+               whose repr row is the projected output *)
+            spilled schema (fun () ->
+                Spill.hash_agg sp ~gov ~acquire:(acquire tr)
+                  ~release:(release tr) ~key:(Row.key_on idxs)
+                  ~fresh:(fun () -> ())
+                  ~absorb:(fun () _ -> ())
+                  ~emit:(fun repr () -> Row.project idxs repr)
+                  (rows_of_cursor child))
+          else
+            map_cursor ~batch_rows schema (fun row -> Row.project idxs row) child
         in
         let out_order =
-          if dedup && options.spill <> None then []
+          if dedup && not keeps_order then []
           else order_through_projection order cols
         in
         (boundary gov st cur, schema, st, out_order)
@@ -845,18 +676,9 @@ let run_profiled ?(options = default_options) db plan =
         in
         let st = opstat label [ cst ] in
         let cur =
-          match options.spill with
-          | Some sp ->
-              deferred (fun () ->
-                  cursor_of_rows ~batch_rows schema
-                    (Spill.sort sp ~gov ~acquire:(acquire tr)
-                       ~release:(release tr) ~cmp (rows_of_cursor child)))
-          | None ->
-              deferred (fun () ->
-                  let rows = drain tr child in
-                  Array.stable_sort cmp rows;
-                  array_source ~batch_rows ~tr ~held:(Array.length rows)
-                    schema rows)
+          spilled schema (fun () ->
+              Spill.sort sp ~gov ~acquire:(acquire tr) ~release:(release tr)
+                ~cmp (rows_of_cursor child))
         in
         (* the known (ascending) order is the prefix before the first DESC *)
         let rec asc_prefix = function
@@ -895,7 +717,7 @@ let run_profiled ?(options = default_options) db plan =
           | Hash_join, _ ->
               (* the probe (right) side streams, so its order survives —
                  unless the join may degrade to grace partitioning *)
-              ((if options.spill = None then order_r else []), 0)
+              ((if keeps_order then order_r else []), 0)
           | (Merge_join | Auto), _ ->
               (* merge join emits rows in join-key order *)
               let ls = covered_by_order lkeys order_l in
@@ -908,34 +730,27 @@ let run_profiled ?(options = default_options) db plan =
               let full = Expr.compile_pred ~params out_schema pred in
               nested_loop_cursor ~batch_rows ~tr out_schema (Some full) lcur
                 rcur
-          | Hash_join, _ -> (
-              let lidx = Schema.indices lsch lkeys in
-              let ridx = Schema.indices rsch rkeys in
-              match options.spill with
-              | Some sp ->
-                  let lkey row =
-                    if all_non_null lidx row then Some (Row.key_on lidx row)
-                    else None
-                  in
-                  let rkey row =
-                    if all_non_null ridx row then Some (Row.key_on ridx row)
-                    else None
-                  in
-                  let combine l r =
-                    let row = Row.concat l r in
-                    match residual_pred with
-                    | Some p when not (Tbool.holds (p row)) -> None
-                    | _ -> Some row
-                  in
-                  deferred (fun () ->
-                      cursor_of_rows ~batch_rows out_schema
-                        (Spill.grace_join sp ~gov ~acquire:(acquire tr)
-                           ~release:(release tr) ~lkey ~rkey ~combine
-                           ~left:(rows_of_cursor lcur)
-                           ~right:(rows_of_cursor rcur) ()))
-              | None ->
-                  hash_join_cursor ~batch_rows ~tr out_schema residual_pred
-                    lidx ridx lcur rcur)
+          | Hash_join, _ ->
+              (* builds on the LEFT input and streams the probe from the
+                 right (Volcano convention), so in E2 the build side is
+                 the already-aggregated [R1'] and the table holds one row
+                 per group instead of one per base row *)
+              let key idx row =
+                if all_non_null idx row then Some (Row.key_on idx row) else None
+              in
+              let combine l r =
+                let row = Row.concat l r in
+                match residual_pred with
+                | Some p when not (Tbool.holds (p row)) -> None
+                | _ -> Some row
+              in
+              spilled out_schema (fun () ->
+                  Spill.grace_join sp ~gov ~acquire:(acquire tr)
+                    ~release:(release tr)
+                    ~lkey:(key (Schema.indices lsch lkeys))
+                    ~rkey:(key (Schema.indices rsch rkeys))
+                    ~combine ~left:(rows_of_cursor lcur)
+                    ~right:(rows_of_cursor rcur) ())
           | Merge_join, _ ->
               let lidx = Schema.indices lsch lkeys in
               let ridx = Schema.indices rsch rkeys in
@@ -968,9 +783,7 @@ let run_profiled ?(options = default_options) db plan =
             | Hash_group ->
                 (* first-seen emission: sorted input stays sorted — but a
                    spilling table may emit partitions out of line *)
-                if options.spill = None && covered_by_order by in_order then
-                  by
-                else []
+                if keeps_order && covered_by_order by in_order then by else []
         in
         let inner =
           if unique_groups then
@@ -984,27 +797,23 @@ let run_profiled ?(options = default_options) db plan =
                   (Agg_exec.finalize compiled state))
               child
           else
-            match options.group_algo, options.spill with
-            | Hash_group, Some sp ->
-                deferred (fun () ->
-                    cursor_of_rows ~batch_rows schema
-                      (Spill.hash_agg sp ~gov ~acquire:(acquire tr)
-                         ~release:(release tr)
-                         ~on_groups:(Governor.charge_groups gov)
-                         ~key:(Row.key_on by_idx)
-                         ~fresh:(fun () -> Agg_exec.fresh compiled)
-                         ~absorb:(fun st row -> Agg_exec.update compiled st row)
-                         ~emit:(fun repr st ->
-                           Array.append (Row.project by_idx repr)
-                             (Agg_exec.finalize compiled st))
-                         (rows_of_cursor child)))
-            | Hash_group, None ->
-                hash_group_cursor ~batch_rows ~tr ~gov schema by_idx compiled
-                  child
-            | Sort_group, Some sp ->
-                (* external sort, then stream one group at a time off the
-                   sorted run *)
-                deferred (fun () ->
+            match options.group_algo with
+            | Hash_group ->
+                spilled schema (fun () ->
+                    Spill.hash_agg sp ~gov ~acquire:(acquire tr)
+                      ~release:(release tr)
+                      ~on_groups:(Governor.charge_groups gov)
+                      ~key:(Row.key_on by_idx)
+                      ~fresh:(fun () -> Agg_exec.fresh compiled)
+                      ~absorb:(fun st row -> Agg_exec.update compiled st row)
+                      ~emit:(fun repr st ->
+                        Array.append (Row.project by_idx repr)
+                          (Agg_exec.finalize compiled st))
+                      (rows_of_cursor child))
+            | Sort_group ->
+                (* sort unless the input is presorted, then stream one
+                   group at a time off the sorted rows *)
+                spilled schema (fun () ->
                     let cmp = Row.compare_on by_idx in
                     let sorted =
                       if covered_by_order by in_order then rows_of_cursor child
@@ -1013,7 +822,7 @@ let run_profiled ?(options = default_options) db plan =
                           ~release:(release tr) ~cmp (rows_of_cursor child)
                     in
                     let pending = ref None in
-                    let next_group () =
+                    fun () ->
                       let first =
                         match !pending with
                         | Some _ as r ->
@@ -1036,13 +845,7 @@ let run_profiled ?(options = default_options) db plan =
                           fill ();
                           Some
                             (Array.append (Row.project by_idx repr)
-                               (Agg_exec.finalize compiled state))
-                    in
-                    cursor_of_rows ~batch_rows schema next_group)
-            | Sort_group, None ->
-                sort_group_cursor ~batch_rows ~tr schema by_idx compiled
-                  ~presorted:(covered_by_order by in_order)
-                  child
+                               (Agg_exec.finalize compiled state)))
         in
         let cur =
           if scalar then scalar_fallback compiled schema inner else inner
@@ -1050,13 +853,9 @@ let run_profiled ?(options = default_options) db plan =
         (boundary gov st cur, schema, st, out_order)
     | Plan.Partial_group { by; aggs; cap; input } ->
         let child, in_schema, cst, _ = compile input in
-        (* unify the partial-aggregation overflow cap onto the same
-           per-operator page budget the spilling breakers use *)
-        let cap =
-          match options.spill with
-          | Some sp -> min cap (Spill.rows_budget sp)
-          | None -> cap
-        in
+        (* the overflow cap never exceeds the per-operator page budget
+           the other breakers use *)
+        let cap = min cap (Spill.rows_budget sp) in
         let by_idx = Schema.indices in_schema by in
         let compiled = Agg_exec.compile ~params in_schema aggs in
         let schema = Plan.schema_of p in
@@ -1071,10 +870,7 @@ let run_profiled ?(options = default_options) db plan =
   (* Pool reservations are cross-statement state: release whatever the
      spill paths still hold even when a governor abort or injected fault
      unwinds mid-stream. *)
-  let finally () =
-    match options.spill with Some sp -> Spill.cleanup sp | None -> ()
-  in
-  Fun.protect ~finally (fun () ->
+  Fun.protect ~finally:(fun () -> Spill.cleanup sp) (fun () ->
       let cur, schema, st, order = compile plan in
       let out = Heap.create schema in
       let rec drain_root () =

@@ -52,17 +52,21 @@ type options = {
           {!Batch.default_rows}); values below 1 are rejected and values
           above {!Batch.max_capacity} are clamped, so [batch_rows =
           max_int] emulates operator-at-a-time materialization *)
-  spill : Spill.config option;
-      (** when set, every pipeline breaker runs against a per-operator
-          page budget: sorts become external merge sorts, hash
-          aggregation and DISTINCT spill non-resident keys to hash
-          partitions, hash joins degrade to grace partitioning, and
-          [Partial_group] caps its table at the same budget.  In-budget
-          state is reserved against the buffer pool (visible in the
-          pinned-page telemetry); overflow goes to runs on the scratch
-          pager.  Spilling operators promise no output order.  [None]
-          (the default) keeps every breaker fully in memory, exactly as
-          before *)
+  spill : Spill.config;
+      (** the memory budget of every hash join, hash aggregation,
+          DISTINCT and sort, which all run through {!Spill}.  The
+          default, {!Spill.unbounded} (what {!Spill.for_db} returns on a
+          RAM database), keeps every breaker in memory and keeps the
+          output orders claimed by {!run_ordered}.  A bounded config
+          (a paged database) gives each breaker a per-operator page
+          budget: sorts become external merge sorts, hash aggregation
+          and DISTINCT spill non-resident keys to hash partitions, hash
+          joins degrade to grace partitioning, and [Partial_group] caps
+          its table at the same budget.  In-budget state is reserved
+          against the buffer pool (visible in the pinned-page
+          telemetry); overflow goes to runs on the scratch pager.  Under
+          a bounded config hash joins, hash aggregation and DISTINCT
+          claim no output order *)
 }
 
 val default_options : options

@@ -30,7 +30,14 @@
 
    A [config] is per-statement: it tracks the pages it reserved so
    [cleanup] (run from the executor's unwind path) can return them to
-   the pool even when a governor aborts the query mid-spill. *)
+   the pool even when a governor aborts the query mid-spill.
+
+   The [unbounded] config is the in-memory case of the same algorithms:
+   no pool and no scratch pager, so nothing is reserved, the budget
+   never trips and no run is ever written.  A grace join that never
+   degrades is a plain hash join streaming its probe side in order, and
+   an aggregation that never partitions emits its groups first-seen;
+   [keeps_order] states exactly that. *)
 
 open Eager_value
 open Eager_schema
@@ -40,8 +47,8 @@ open Eager_robust
 type row_stream = unit -> Row.t option
 
 type config = {
-  pool : Buffer_pool.t;
-  scratch : Pager.t;
+  io : (Buffer_pool.t * Pager.t) option;
+      (* pool and scratch pager; [None] only for [unbounded] *)
   budget_pages : int; (* per-operator in-memory budget, in pages *)
   page_rows : int; (* nominal rows per page, for rows<->pages *)
   mutable held_pages : int; (* pool pages currently reserved *)
@@ -51,20 +58,33 @@ type config = {
 let make ~pool ~scratch ~budget_pages ~page_rows =
   if budget_pages < 2 then invalid_arg "Spill.make: budget_pages must be >= 2";
   {
-    pool;
-    scratch;
+    io = Some (pool, scratch);
     budget_pages;
     page_rows = max 1 page_rows;
     held_pages = 0;
     run_pages_written = 0;
   }
 
+(* Its mutable fields are only written on the reserve and spill paths,
+   which it never takes, so one value serves every statement. *)
+let unbounded =
+  {
+    io = None;
+    budget_pages = max_int;
+    page_rows = 1;
+    held_pages = 0;
+    run_pages_written = 0;
+  }
+
+let keeps_order cfg = Option.is_none cfg.io
+
 (* One spill config per statement over a paged database: the budget
    defaults to half the pool (so two spilling operators can coexist), or
-   64 pages when the pool is unbounded. *)
+   64 pages when the pool is unbounded.  A RAM database gets the
+   unbounded config. *)
 let for_db ?budget_pages db =
   match Database.scratch db with
-  | None -> None
+  | None -> unbounded
   | Some (pool, scratch) ->
       let budget =
         match budget_pages with
@@ -74,26 +94,30 @@ let for_db ?budget_pages db =
             | Some c -> max 2 (c / 2)
             | None -> 64)
       in
-      Some
-        (make ~pool ~scratch ~budget_pages:budget
-           ~page_rows:(Database.page_rows db))
+      make ~pool ~scratch ~budget_pages:budget
+        ~page_rows:(Database.page_rows db)
 
 let rows_budget cfg = cfg.budget_pages * cfg.page_rows
 let run_pages cfg = cfg.run_pages_written
-let budget_pages cfg = cfg.budget_pages
 let pages_of_rows cfg n = (n + cfg.page_rows - 1) / cfg.page_rows
 
+(* only a bounded config ever spills or reserves *)
+let io cfg =
+  match cfg.io with
+  | Some io -> io
+  | None -> invalid_arg "Spill: the unbounded config has no pool"
+
 let reserve ?gov cfg n =
-  Buffer_pool.reserve ?gov cfg.pool n;
+  Buffer_pool.reserve ?gov (fst (io cfg)) n;
   cfg.held_pages <- cfg.held_pages + n
 
 let release_pages cfg n =
-  Buffer_pool.release cfg.pool n;
+  Buffer_pool.release (fst (io cfg)) n;
   cfg.held_pages <- cfg.held_pages - n
 
 let cleanup cfg =
   if cfg.held_pages > 0 then begin
-    Buffer_pool.release cfg.pool cfg.held_pages;
+    Buffer_pool.release (fst (io cfg)) cfg.held_pages;
     cfg.held_pages <- 0
   end
 
@@ -111,17 +135,19 @@ type hold = { hcfg : config; mutable hpages : int }
 let hold cfg = { hcfg = cfg; hpages = 0 }
 
 let hold_rows ?gov h n =
-  let others = h.hcfg.held_pages - h.hpages in
-  let target =
-    min (pages_of_rows h.hcfg n) (max 0 (h.hcfg.budget_pages - others))
-  in
-  if target > h.hpages then begin
-    reserve ?gov h.hcfg (target - h.hpages);
-    h.hpages <- target
-  end
-  else if target < h.hpages then begin
-    release_pages h.hcfg (h.hpages - target);
-    h.hpages <- target
+  if Option.is_some h.hcfg.io then begin
+    let others = h.hcfg.held_pages - h.hpages in
+    let target =
+      min (pages_of_rows h.hcfg n) (max 0 (h.hcfg.budget_pages - others))
+    in
+    if target > h.hpages then begin
+      reserve ?gov h.hcfg (target - h.hpages);
+      h.hpages <- target
+    end
+    else if target < h.hpages then begin
+      release_pages h.hcfg (h.hpages - target);
+      h.hpages <- target
+    end
   end
 
 let hold_drop h = hold_rows h 0
@@ -147,7 +173,8 @@ let run_flush_tail ?gov cfg r =
        failure leaves a clean (shorter) run *)
     Fault.trip "exec.spill";
     let page = Array.of_list (List.rev r.tail) in
-    let pid = Buffer_pool.append_page ?gov cfg.pool cfg.scratch page in
+    let pool, scratch = io cfg in
+    let pid = Buffer_pool.append_page ?gov pool scratch page in
     cfg.run_pages_written <- cfg.run_pages_written + 1;
     r.pids <- pid :: r.pids;
     r.tail <- [];
@@ -157,7 +184,7 @@ let run_flush_tail ?gov cfg r =
 
 let run_add ?gov cfg r row =
   let rb = Page.row_bytes row in
-  let cap = Page.capacity ~page_size:(Pager.page_size cfg.scratch) in
+  let cap = Page.capacity ~page_size:(Pager.page_size (snd (io cfg))) in
   if rb > cap then
     Err.failf Err.Storage
       "spilled row needs %d bytes, a page holds %d (use a larger \
@@ -174,6 +201,7 @@ let run_add ?gov cfg r row =
    at a time, read uncached). *)
 let run_stream ?gov cfg r : row_stream =
   run_flush_tail ?gov cfg r;
+  let pool, scratch = io cfg in
   let pids = ref (List.rev r.pids) in
   let page = ref [||] in
   let i = ref 0 in
@@ -188,7 +216,7 @@ let run_stream ?gov cfg r : row_stream =
       | [] -> None
       | pid :: rest ->
           pids := rest;
-          page := Buffer_pool.read_page ?gov cfg.pool cfg.scratch pid;
+          page := Buffer_pool.read_page ?gov pool scratch pid;
           i := 0;
           next ()
   in
@@ -353,7 +381,7 @@ let hash_agg (type st) cfg ?gov ?(acquire = ignore) ?(release = ignore)
       in
       arr.(partition_of ~depth ~nparts k)
     in
-    let unbounded = depth >= max_depth in
+    let at_max_depth = depth >= max_depth in
     let rec load () =
       match input () with
       | None -> ()
@@ -362,7 +390,7 @@ let hash_agg (type st) cfg ?gov ?(acquire = ignore) ?(release = ignore)
           (match Hashtbl.find_opt table k with
           | Some (_, st) -> absorb st row
           | None ->
-              if unbounded || Hashtbl.length table < budget then begin
+              if at_max_depth || Hashtbl.length table < budget then begin
                 let st = fresh () in
                 absorb st row;
                 Hashtbl.add table k (row, st);
@@ -438,7 +466,7 @@ let grace_join cfg ?gov ?(acquire = ignore) ?(release = ignore) ~lkey ~rkey
     let grace = ref false in
     let lparts = Array.init nparts (fun _ -> run_create ()) in
     let part k = lparts.(partition_of ~depth ~nparts k) in
-    let unbounded = depth >= max_depth in
+    let at_max_depth = depth >= max_depth in
     let rec build () =
       match left () with
       | None -> ()
@@ -446,7 +474,7 @@ let grace_join cfg ?gov ?(acquire = ignore) ?(release = ignore) ~lkey ~rkey
           (match lkey row with
           | None -> () (* NULL join key: inner join drops the row *)
           | Some k ->
-              if (not !grace) && (unbounded || !count < budget) then begin
+              if (not !grace) && (at_max_depth || !count < budget) then begin
                 Hashtbl.add table k row;
                 incr count;
                 acquire 1;

@@ -13,8 +13,12 @@
     frames — a 4-page pool still runs a join-plus-group plan.
 
     All three algorithms take and return plain row streams; the
-    executor adapts its batched cursors at the boundary.  None of them
-    promises any output order. *)
+    executor adapts its batched cursors at the boundary.  They are the
+    executor's only hash join, hash aggregation and sort: the in-memory
+    case is the {!unbounded} config, under which nothing is reserved or
+    spilled.  Only there do [grace_join] and [hash_agg] keep an output
+    order (see {!keeps_order}); [sort]'s output is sorted under any
+    config. *)
 
 open Eager_value
 open Eager_schema
@@ -34,14 +38,27 @@ val make :
 (** A per-statement spill context.  [budget_pages] must be at least 2.
     Not safe to share between concurrently executing statements. *)
 
-val for_db : ?budget_pages:int -> Database.t -> config option
-(** [None] on a RAM database.  The default budget is half the pool
-    capacity (at least 2), or 64 pages when the pool is unbounded. *)
+val unbounded : config
+(** No pool, no scratch pager and a budget that never trips: every
+    breaker runs fully in memory and no run is written.  It holds no
+    state, so every statement may share it; it is
+    [Exec.default_options]'s config. *)
+
+val for_db : ?budget_pages:int -> Database.t -> config
+(** {!unbounded} on a RAM database.  On a paged one, the default budget
+    is half the pool capacity (at least 2), or 64 pages when the pool is
+    unbounded. *)
+
+val keeps_order : config -> bool
+(** True only for {!unbounded}.  There [grace_join] never degrades, so
+    its output follows the probe (right) input's order, and [hash_agg]
+    never partitions, so it emits groups in first-seen order — sorted
+    input yields sorted output.  A bounded config may emit spilled
+    partitions out of line, so no order may be claimed for either. *)
 
 val rows_budget : config -> int
-(** The per-operator budget translated to rows. *)
-
-val budget_pages : config -> int
+(** The per-operator budget translated to rows ([max_int] when
+    {!unbounded}). *)
 
 val run_pages : config -> int
 (** Spill-run pages written so far under this config (telemetry). *)

@@ -313,5 +313,3 @@ let decide ?strict ?expand ?governor ?force ?partial_cap ?max_cuts ?io db q =
   Err.protect ~kind:Err.Planner (fun () ->
       decide_raw ?strict ?expand ?governor ?force ?partial_cap ?max_cuts ?io db
         q)
-
-let decide_exn = decide_raw

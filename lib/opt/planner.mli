@@ -93,20 +93,5 @@ val decide :
     (and mode) explicitly.  Refused demands are [Error]s of kind
     [Planner]. *)
 
-val decide_exn :
-  ?strict:bool ->
-  ?expand:bool ->
-  ?governor:Governor.t ->
-  ?force:force ->
-  ?partial_cap:int ->
-  ?max_cuts:int ->
-  ?io:Cost.io_model ->
-  Database.t ->
-  Canonical.t ->
-  decision
-[@@ocaml.deprecated "use Planner.decide, which returns a result"]
-(** Raising variant kept for one release for out-of-tree callers;
-    raises [Err.Error_exn] where {!decide} returns [Error]. *)
-
 val kind_to_string : kind -> string
 val force_to_string : force -> string

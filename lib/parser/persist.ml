@@ -261,55 +261,6 @@ let save ?wal_lsn db ~dir =
           committed := true))
 
 (* ------------------------------------------------------------------ *)
-(* legacy directory layout (schema.sql + one CSV per table), still
-   readable so databases saved by older builds keep loading *)
-
-let load_legacy ?storage ~dir () =
-  let db = Database.create ?storage () in
-  let schema_path = Filename.concat dir "schema.sql" in
-  if not (Sys.file_exists schema_path) then
-    Error (Err.io "%s: no snapshot or schema.sql found" dir)
-  else begin
-    let* _ =
-      match Binder.run_script db (read_file schema_path) with
-      | Ok _ -> Ok ()
-      | Error msg -> Error (Err.io "schema.sql: %s" msg)
-    in
-    let* () =
-      Err.iter_result
-        (fun (td : Table_def.t) ->
-          let path = Filename.concat dir (td.Table_def.tname ^ ".csv") in
-          if not (Sys.file_exists path) then
-            Error (Err.io "%s not found" path)
-          else begin
-            let lines =
-              String.split_on_char '\n' (read_file path)
-              |> List.filter (fun l -> String.trim l <> "")
-            in
-            match lines with
-            | [] -> Error (Err.io "%s: missing header" path)
-            | _header :: rows ->
-                let h = Database.heap db td.Table_def.tname in
-                Err.iter_result
-                  (fun line ->
-                    let* fields = Err.of_msg Err.Io (split_fields line) in
-                    let* values =
-                      Err.map_result
-                        (fun f -> Err.of_msg Err.Io (decode_value f))
-                        fields
-                    in
-                    (* trusted dump: straight into the heap *)
-                    match Heap.insert h (Array.of_list values) with
-                    | () -> Ok ()
-                    | exception Invalid_argument msg -> Error (Err.io "%s" msg))
-                  rows
-          end)
-        (Catalog.tables (Database.catalog db))
-    in
-    Ok db
-  end
-
-(* ------------------------------------------------------------------ *)
 (* snapshot parsing *)
 
 let verify_checksum content =
@@ -431,9 +382,7 @@ let load_with_lsn ?storage ~dir () =
       (* contain even unexpected raises from a hostile file *)
       Result.join
         (Err.protect ~kind:Err.Io (fun () -> load_snapshot ?storage path))
-    else
-      let* db = load_legacy ?storage ~dir () in
-      Ok (db, 0)
+    else Error (Err.io "%s: no %s found" dir snapshot_file)
   in
   Err.with_context (Printf.sprintf "loading %s" dir) result
 

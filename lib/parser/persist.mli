@@ -17,10 +17,7 @@
     [""] escaping; NULL is the bare token [NULL]; booleans are
     [TRUE]/[FALSE].  Rows are loaded back through the raw heap (the dump
     is trusted; constraints were enforced when the data was first
-    inserted, and re-checking FKs would impose a table ordering).
-
-    Directories written by older builds (schema.sql + one CSV per table)
-    are still readable. *)
+    inserted, and re-checking FKs would impose a table ordering). *)
 
 open Eager_storage
 open Eager_robust
@@ -48,7 +45,7 @@ val load_with_lsn :
   unit ->
   (Database.t * int, Err.t) result
 (** {!load}, also returning the snapshot's WAL position ([0] for
-    snapshots written without one, including legacy directories). *)
+    snapshots written without one). *)
 
 val ddl_of_database : Database.t -> string
 (** The DDL text embedded in the snapshot, exposed for tests. *)

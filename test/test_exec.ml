@@ -310,6 +310,102 @@ let test_agg_arith_expression () =
         (Value.null_eq row.(0) (i 74))
   | _ -> Alcotest.fail "one row expected"
 
+(* ---------------- aggregate edge cases ---------------- *)
+
+(* Z(g, v): every case runs as a plain Group and as a Partial_group at
+   cap 1 under its finalizing Group, on the RAM engine (the unbounded
+   spill config) and on a 4-page pool of 128-byte pages, where the
+   spill budget is a few rows, so the larger cases really partition.
+   Each result must match the reference evaluator, and the reference
+   must match the expected rows.  The scalar case runs the plain Group
+   only: a finalizing Group re-sums partial counts, so over empty input
+   its row count would be the SUM of nothing, NULL — the planner places
+   Partial_group under non-scalar groups only. *)
+let z_schema = Schema.make [ (cr "Z" "g", Ctype.Int); (cr "Z" "v", Ctype.Int) ]
+let scan_z = Plan.scan ~table:"Z" ~rel:"Z" z_schema
+let tiny_pool = { Database.pool_pages = Some 4; page_size = 128; spill_dir = None }
+
+let z_db ?storage rows =
+  let db = Database.create ?storage () in
+  Database.create_table db
+    (Table_def.make "Z" [ coldef "g" Ctype.Int; coldef "v" Ctype.Int ] []);
+  Database.load db "Z" rows;
+  db
+
+let agg_edge_cases =
+  let null = Value.Null and g = cr "Z" "g" and v = Expr.col "Z" "v" in
+  let n = Agg.count_star (cr "" "n") and sum = Agg.sum (cr "" "s") v in
+  (* name, rows, by, scalar, aggs, expected *)
+  [
+    ("empty input, no GROUP BY", [], [], true, [ n; sum ], [ "(0, NULL)" ]);
+    ("empty input, GROUP BY", [], [ g ], false, [ n; sum ], []);
+    ( "COUNT(*) against COUNT(col) over NULLs",
+      [ [ i 1; null ]; [ i 1; i 5 ]; [ i 1; null ]; [ i 2; null ] ],
+      [ g ], false,
+      [ n; Agg.count (cr "" "c") v ],
+      [ "(1, 3, 1)"; "(2, 1, 0)" ] );
+    ( "SUM, MIN, MAX over all-NULL input",
+      [ [ i 1; null ]; [ i 1; null ]; [ i 2; null ] ],
+      [ g ], false,
+      [ sum; Agg.min_ (cr "" "mn") v; Agg.max_ (cr "" "mx") v ],
+      [ "(1, NULL, NULL, NULL)"; "(2, NULL, NULL, NULL)" ] );
+    ( "NULL group keys group together",
+      [ [ null; i 1 ]; [ i 1; i 2 ]; [ null; i 3 ]; [ i 2; i 4 ];
+        [ null; null ]; [ i 3; i 5 ]; [ i 4; i 6 ]; [ i 5; i 7 ];
+        [ i 6; i 8 ] ],
+      [ g ], false, [ n; sum ],
+      [ "(NULL, 3, 4)"; "(1, 1, 2)"; "(2, 1, 4)"; "(3, 1, 5)"; "(4, 1, 6)";
+        "(5, 1, 7)"; "(6, 1, 8)" ] );
+  ]
+
+let test_aggregate_edge_cases () =
+  let run_pages = ref 0 in
+  List.iter
+    (fun (name, zrows, by, scalar, aggs, expected) ->
+      let direct = Plan.group ~scalar ~by ~aggs scan_z in
+      let partial =
+        match Agg.decompose aggs with
+        | _ when scalar -> []
+        | Ok (partials, finals) ->
+            [
+              ( "partial cap:1",
+                Plan.group ~by ~aggs:finals
+                  (Plan.partial_group ~by ~aggs:partials ~cap:1 scan_z) );
+            ]
+        | Error m -> Alcotest.fail m
+      in
+      let ram = z_db zrows in
+      let reference = Ref_eval.eval ram direct in
+      check_rows (name ^ ": reference") expected reference;
+      let paged = z_db ~storage:tiny_pool zrows in
+      Fun.protect
+        ~finally:(fun () -> Database.close_storage paged)
+        (fun () ->
+          List.iter
+            (fun (cname, db) ->
+              List.iter
+                (fun (pname, plan) ->
+                  List.iter
+                    (fun group_algo ->
+                      let spill = Spill.for_db db in
+                      let options =
+                        { Exec.default_options with group_algo; spill }
+                      in
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: %s %s %s agrees with reference"
+                           name pname cname
+                           (if group_algo = Exec.Hash_group then "hash"
+                            else "sort"))
+                        true
+                        (Exec.multiset_equal reference
+                           (Exec.run_rows ~options db plan));
+                      run_pages := !run_pages + Spill.run_pages spill)
+                    [ Exec.Hash_group; Exec.Sort_group ])
+                (("group", direct) :: partial))
+            [ ("unbounded", ram); ("4-page", paged) ]))
+    agg_edge_cases;
+  Alcotest.(check bool) "the 4-page pool spilled" true (!run_pages > 0)
+
 (* ---------------- sort ---------------- *)
 
 let test_sort () =
@@ -468,15 +564,18 @@ let prop_claimed_order_is_real =
   QCheck.Test.make ~count:150 ~name:"claimed sort orders are physical"
     (QCheck.make
        (QCheck.Gen.tup3 order_table_gen order_table_gen
-          (QCheck.Gen.int_range 0 3)))
+          (QCheck.Gen.int_range 0 6)))
     (fun (trows, urows, variant) ->
-      let db = Database.create () in
-      Database.create_table db
-        (Table_def.make "T" [ coldef "a" Ctype.Int; coldef "b" Ctype.Int ] []);
-      Database.create_table db
-        (Table_def.make "U" [ coldef "x" Ctype.Int; coldef "y" Ctype.Int ] []);
-      Database.load db "T" (List.map (fun (a, b) -> [ a; b ]) trows);
-      Database.load db "U" (List.map (fun (x, y) -> [ x; y ]) urows);
+      let load ?storage () =
+        let db = Database.create ?storage () in
+        Database.create_table db
+          (Table_def.make "T" [ coldef "a" Ctype.Int; coldef "b" Ctype.Int ] []);
+        Database.create_table db
+          (Table_def.make "U" [ coldef "x" Ctype.Int; coldef "y" Ctype.Int ] []);
+        Database.load db "T" (List.map (fun (a, b) -> [ a; b ]) trows);
+        Database.load db "U" (List.map (fun (x, y) -> [ x; y ]) urows);
+        db
+      in
       let u_schema' =
         Schema.make [ (cr "U" "x", Ctype.Int); (cr "U" "y", Ctype.Int) ]
       in
@@ -491,23 +590,51 @@ let prop_claimed_order_is_real =
         | 0 -> Plan.sort [ (cr "T" "a", false) ] scan_t
         | 1 -> grouped
         | 2 -> Plan.join (Expr.eq (Expr.col "T" "a") (Expr.col "U" "x")) grouped scan_u'
-        | _ ->
+        | 3 ->
             Plan.select
               (Expr.Is_not_null (Expr.col "T" "a"))
               (Plan.sort [ (cr "T" "a", false); (cr "T" "b", false) ] scan_t)
+        (* hash breakers over sorted input: only the unbounded config
+           may pass the order through *)
+        | 4 ->
+            Plan.group ~by:[ cr "T" "a"; cr "T" "b" ]
+              ~aggs:[ Agg.count_star (cr "" "n") ]
+              (Plan.sort [ (cr "T" "a", false); (cr "T" "b", false) ] scan_t)
+        | 5 ->
+            Plan.join
+              (Expr.eq (Expr.col "T" "a") (Expr.col "U" "x"))
+              scan_t
+              (Plan.sort [ (cr "U" "x", false); (cr "U" "y", false) ] scan_u')
+        | _ ->
+            Plan.project ~dedup:true [ cr "T" "a"; cr "T" "b" ]
+              (Plan.sort [ (cr "T" "a", false); (cr "T" "b", false) ] scan_t)
       in
-      List.for_all
-        (fun (ja, ga) ->
-          let options =
-            { Exec.default_options with join_algo = ja; group_algo = ga }
-          in
-          let h, _, order = Exec.run_ordered ~options db plan in
-          is_sorted_by (Heap.schema h) order (Heap.to_list h))
-        [
-          (Exec.Auto, Exec.Hash_group);
-          (Exec.Merge_join, Exec.Sort_group);
-          (Exec.Nested_loop, Exec.Sort_group);
-        ])
+      (* the RAM engine, and the same tables on a 4-page pool whose
+         bounded spill config partitions beyond a few rows *)
+      let ram = load () and paged = load ~storage:tiny_pool () in
+      Fun.protect
+        ~finally:(fun () -> Database.close_storage paged)
+        (fun () ->
+          List.for_all
+            (fun db ->
+              List.for_all
+                (fun (ja, ga) ->
+                  let options =
+                    {
+                      Exec.default_options with
+                      join_algo = ja;
+                      group_algo = ga;
+                      spill = Spill.for_db db;
+                    }
+                  in
+                  let h, _, order = Exec.run_ordered ~options db plan in
+                  is_sorted_by (Heap.schema h) order (Heap.to_list h))
+                [
+                  (Exec.Auto, Exec.Hash_group);
+                  (Exec.Merge_join, Exec.Sort_group);
+                  (Exec.Nested_loop, Exec.Sort_group);
+                ])
+            [ ram; paged ]))
 
 (* ---------------- operator statistics ---------------- *)
 
@@ -894,6 +1021,8 @@ let () =
           Alcotest.test_case "arithmetic over aggregates" `Quick
             test_agg_arith_expression;
           Alcotest.test_case "COUNT(DISTINCT)" `Quick test_count_distinct;
+          Alcotest.test_case "aggregate edge cases" `Quick
+            test_aggregate_edge_cases;
         ] );
       ("sort", [ Alcotest.test_case "ORDER BY semantics" `Quick test_sort ]);
       ( "order propagation",

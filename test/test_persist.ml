@@ -169,6 +169,23 @@ let test_errors () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "newline string must refuse to persist"
 
+(* the pre-snapshot layout (schema.sql + one CSV per table) is not a
+   snapshot: it is refused, not read *)
+let test_schema_sql_dir_refused () =
+  let dir = tmpdir "eagerdb_persist_schema_sql" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let write name text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc text)
+  in
+  write "schema.sql" "CREATE TABLE t (a INTEGER);\n";
+  write "t.csv" "a\n1\n2\n";
+  match Persist.load ~dir () with
+  | Error e ->
+      Alcotest.(check string) "typed Io error" "Io"
+        (Err.kind_to_string (Err.kind e))
+  | Ok _ -> Alcotest.fail "a schema.sql directory must not load"
+
 let () =
   Alcotest.run "persist"
     [
@@ -184,5 +201,7 @@ let () =
         [
           Alcotest.test_case "DDL text" `Quick test_ddl_text;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "schema.sql directory refused" `Quick
+            test_schema_sql_dir_refused;
         ] );
     ]
