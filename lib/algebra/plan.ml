@@ -81,6 +81,13 @@ let rec relations = function
   | Product (a, b) | Join { left = a; right = b; _ } ->
       relations a @ relations b
 
+let rec tables = function
+  | Scan { table; _ } -> [ table ]
+  | Select { input; _ } | Project { input; _ } | Group { input; _ }
+  | Partial_group { input; _ } | Sort { input; _ } | Map { input; _ } ->
+      tables input
+  | Product (a, b) | Join { left = a; right = b; _ } -> tables a @ tables b
+
 let node_label = function
   | Scan { table; rel; _ } ->
       if String.equal table rel then Printf.sprintf "Scan %s" table

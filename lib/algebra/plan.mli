@@ -94,6 +94,10 @@ val schema_of : t -> Schema.t
 val relations : t -> string list
 (** Range variables introduced by scans, left to right. *)
 
+val tables : t -> string list
+(** Base tables read by scans, left to right (a self-join lists its
+    table twice). *)
+
 val label : t -> string
 (** One-line description of the root operator (no children). *)
 

@@ -1,6 +1,9 @@
 open Eager_core
+open Eager_storage
 
 type entry = { rank : int; label : string; cost : float; picked : bool }
+
+type stats_age = { table : string; collected_at : int; rows : int }
 
 type t = {
   verdict : Testfd.verdict;
@@ -11,6 +14,7 @@ type t = {
   forced : string option;
   chosen_kind : Planner.kind;
   placements : entry list;
+  statistics : stats_age list;
 }
 
 let of_decision db (d : Planner.decision) =
@@ -33,6 +37,15 @@ let of_decision db (d : Planner.decision) =
             picked = p.Placement.plan == d.Planner.chosen;
           })
         d.Planner.candidates;
+    statistics =
+      Eager_algebra.Plan.tables d.Planner.plan_lazy
+      |> List.fold_left
+           (fun seen tb -> if List.mem tb seen then seen else tb :: seen)
+           []
+      |> List.rev_map (fun table ->
+             let s = Database.stats db table in
+             { table; collected_at = Stats.collected_at s;
+               rows = Stats.row_count s });
   }
 
 let render t =
@@ -78,6 +91,12 @@ let render t =
             (Printf.sprintf "  %d. %s -- cost %.0f%s\n" e.rank e.label e.cost
                (if e.picked then " [chosen]" else "")))
         ps);
+  List.iter
+    (fun a ->
+      Buffer.add_string buf
+        (Printf.sprintf "statistics: %s collected at %d rows, now %d\n" a.table
+           a.collected_at a.rows))
+    t.statistics;
   Buffer.contents buf
 
 let text db d = render (of_decision db d)

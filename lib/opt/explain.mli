@@ -6,7 +6,9 @@
     prefix (TestFD verdict, expansion count, E1/E2 cost breakdowns,
     fallback, strategy reason, chosen line) is byte-for-byte the format
     the planner printed before placements existed; the ranked-placements
-    section is appended after the [chosen:] line. *)
+    section and then one [statistics:] line per base table (how far the
+    table has moved since its statistics were collected) are appended
+    after the [chosen:] line. *)
 
 open Eager_core
 open Eager_storage
@@ -18,6 +20,12 @@ type entry = {
   picked : bool;  (** this candidate is the decision's chosen plan *)
 }
 
+type stats_age = {
+  table : string;
+  collected_at : int;  (** rows when its statistics were collected *)
+  rows : int;  (** rows now *)
+}
+
 type t = {
   verdict : Testfd.verdict;
   expanded_atoms : int;
@@ -27,6 +35,8 @@ type t = {
   forced : string option;  (** {!Planner.force_to_string} when forced *)
   chosen_kind : Planner.kind;
   placements : entry list;  (** cheapest first; singleton when only E1 *)
+  statistics : stats_age list;
+      (** one per base table of the lazy plan, in scan order *)
 }
 
 val of_decision : Database.t -> Planner.decision -> t

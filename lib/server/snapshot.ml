@@ -2,7 +2,8 @@
    last committed batch.  [get] is called under the server's commit
    lock, so the copy it takes is a clean batch boundary; everything a
    reader then does happens against private structures (see
-   Database.reader_view) with zero locking. *)
+   Database.reader_view) with zero locking, apart from the statistics
+   store's own short lock. *)
 
 open Eager_storage
 

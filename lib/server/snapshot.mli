@@ -6,8 +6,9 @@
     mutated), otherwise one [Database.snapshot] deep copy is taken and
     cached — so the copy cost is paid once per committed batch, not
     once per query.  Readers receive a private [Database.reader_view]
-    over the frozen copy, so concurrent readers share row storage but
-    never share mutable cache state.
+    over the frozen copy, so concurrent readers share row storage and
+    the database's lock-guarded statistics store, but never share index
+    caches.
 
     Isolation rule: a reader observes exactly the state at its
     snapshot's LSN for its whole statement, regardless of writers

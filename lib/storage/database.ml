@@ -41,10 +41,21 @@ type storage_state = {
   scratch_pager : Pager.t;
 }
 
+(* Per-table statistics, one store per database, shared by reference
+   between the live instance, every snapshot and every reader view.
+   Keyed by [Heap.id], which a snapshot's heap shares with its table;
+   each entry is the compaction count the statistics were collected at
+   and the statistics themselves.  The mutex guards the table only —
+   collection runs outside it (see [stats]). *)
+type stats_store = {
+  stats_mu : Mutex.t;
+  entries : (int, int * Stats.t) Hashtbl.t;
+}
+
 type t = {
   mutable cat : Catalog.t;
   heaps : (string, Heap.t) Hashtbl.t;
-  stats_cache : (string, int * Stats.t) Hashtbl.t;
+  stats_store : stats_store;
   (* (table, key columns) -> set of key values; used for FK lookups *)
   key_indexes : (string * string list, key_index) Hashtbl.t;
   sec_indexes : (string, sec_index) Hashtbl.t; (* by index name *)
@@ -76,7 +87,7 @@ let create ?storage () =
   {
     cat = Catalog.empty;
     heaps = Hashtbl.create 16;
-    stats_cache = Hashtbl.create 16;
+    stats_store = { stats_mu = Mutex.create (); entries = Hashtbl.create 16 };
     key_indexes = Hashtbl.create 16;
     sec_indexes = Hashtbl.create 16;
     storage = Option.map open_storage storage;
@@ -116,16 +127,17 @@ let close_storage t =
 
 (* A frozen copy for MVCC-lite readers: the catalog value is captured
    (it is updated functionally, so sharing is safe), every heap is
-   copied (rows shared — they are immutable engine-wide), and every
-   derived cache starts empty.  Later mutations of the live database
-   never show through the snapshot, and vice versa. *)
+   copied (rows shared — they are immutable engine-wide), the key and
+   secondary indexes start empty, and the statistics store is shared.
+   Later mutations of the live database never show through the
+   snapshot, and vice versa. *)
 let snapshot t =
   let heaps = Hashtbl.create (Hashtbl.length t.heaps) in
   Hashtbl.iter (fun name h -> Hashtbl.replace heaps name (Heap.copy h)) t.heaps;
   {
     cat = t.cat;
     heaps;
-    stats_cache = Hashtbl.create 16;
+    stats_store = t.stats_store;
     key_indexes = Hashtbl.create 16;
     sec_indexes = Hashtbl.create 16;
     storage = t.storage;
@@ -133,27 +145,32 @@ let snapshot t =
 
 (* A reader's private view over a frozen snapshot: heaps are shared with
    the snapshot (nobody mutates a snapshot, so sharing the row storage
-   is safe) but the derived caches — statistics, key indexes, secondary
-   indexes — are private, because two reader threads filling the same
-   hashtable concurrently could corrupt it.  O(#tables), so handing one
-   to every statement is cheap. *)
+   is safe) but the key and secondary indexes are private, because two
+   reader threads filling the same hashtable concurrently could corrupt
+   it.  The statistics store is shared: it has its own lock.
+   O(#tables), so handing one to every statement is cheap. *)
 let reader_view t =
   {
     cat = t.cat;
     heaps = Hashtbl.copy t.heaps;
-    stats_cache = Hashtbl.create 16;
+    stats_store = t.stats_store;
     key_indexes = Hashtbl.create 16;
     sec_indexes = Hashtbl.create 16;
     storage = t.storage;
   }
 
-(* Drop every cached derived structure for [tname]: statistics, key
-   indexes (keyed by table name) and secondary indexes (keyed by index
-   name, resolved through the catalog).  Compaction counters alone cannot
-   catch a drop/recreate — a fresh heap restarts at compaction 0, which
-   matches what a stale index last saw. *)
+(* Drop every cached derived structure for [tname]: statistics (keyed by
+   the heap's id), key indexes (keyed by table name) and secondary
+   indexes (keyed by index name, resolved through the catalog).
+   Compaction counters alone cannot catch a drop/recreate — a fresh heap
+   restarts at compaction 0, which matches what a stale index last saw. *)
 let evict_derived t tname =
-  Hashtbl.remove t.stats_cache tname;
+  Option.iter
+    (fun h ->
+      let st = t.stats_store in
+      Mutex.protect st.stats_mu (fun () ->
+          Hashtbl.remove st.entries (Heap.id h)))
+    (Hashtbl.find_opt t.heaps tname);
   Hashtbl.filter_map_inplace
     (fun (tab, _) idx -> if String.equal tab tname then None else Some idx)
     t.key_indexes;
@@ -675,13 +692,33 @@ let update t tname ?params ~set ~where () =
   | Ok (Error msg) -> Error (Err.make Err.Storage msg)
   | Error e -> Error e
 
+(* Statistics only steer costing, so an estimate a little behind the
+   table costs as well as a current one.  An entry is reused while the
+   table has not been compacted since and its row count has moved by at
+   most 1/[drift_denominator] of the rows it was collected at; the row
+   count handed out is always exact.  Otherwise the caller's own heap is
+   collected — outside the store's lock, and never by a writer (writes
+   plan nothing), so a scan never blocks a commit — and published unless
+   an entry from a later compaction got there first. *)
+let drift_denominator = 8
+
 let stats t tname =
   let h = heap t tname in
-  match Hashtbl.find_opt t.stats_cache tname with
-  | Some (gen, s) when gen = Heap.generation h -> s
+  let st = t.stats_store in
+  let id = Heap.id h and rows = Heap.length h and comp = Heap.compactions h in
+  let entry () = Hashtbl.find_opt st.entries id in
+  match Mutex.protect st.stats_mu entry with
+  | Some (c, s)
+    when c = comp
+         && abs (rows - Stats.collected_at s) * drift_denominator
+            <= Stats.collected_at s ->
+      Stats.with_rows s rows
   | _ ->
       let s = Stats.collect h in
-      Hashtbl.replace t.stats_cache tname (Heap.generation h, s);
+      Mutex.protect st.stats_mu (fun () ->
+          match entry () with
+          | Some (c, _) when c > comp -> ()
+          | _ -> Hashtbl.replace st.entries id (comp, s));
       s
 
 let row_count t tname = Heap.length (heap t tname)

@@ -57,27 +57,30 @@ val close_storage : t -> unit
 
 val snapshot : t -> t
 (** A frozen, independent copy: heaps are duplicated (rows shared —
-    they are immutable engine-wide), the catalog value is captured, and
-    derived caches start empty.  Mutations of either instance never
+    they are immutable engine-wide), the catalog value is captured, key
+    and secondary indexes start empty, and the statistics store is
+    shared with [t] (see {!stats}).  Mutations of either instance never
     show through the other.  This is the MVCC-lite version a server
     stamps with the commit LSN and hands to readers. *)
 
-(** [reader_view t] is a private view sharing [t]'s heaps but owning
-    fresh derived caches (statistics, key/secondary indexes).  Intended
-    for concurrent readers over one frozen {!snapshot}: row storage is
-    safely shared because snapshots are never mutated, while the
-    mutable caches stay per-reader so threads cannot race on them.
-    O(#tables). *)
+(** [reader_view t] is a private view sharing [t]'s heaps and statistics
+    store but owning fresh key and secondary indexes.  Intended for
+    concurrent readers over one frozen {!snapshot}: row storage is
+    safely shared because snapshots are never mutated, the statistics
+    store has its own lock, and the index caches stay per-reader so
+    threads cannot race on them.  O(#tables). *)
 val reader_view : t -> t
 val create_table : t -> Table_def.t -> unit
-(** Registers the table and its empty heap.  Any cached index or
-    statistics state left over from a previously dropped table of the
-    same name is evicted first. *)
+(** Registers the table and its empty heap.  Any cached index state
+    left over from a previously dropped table of the same name is
+    evicted first; the new heap has a fresh {!Heap.id}, so it never
+    sees that table's statistics. *)
 
 val drop_table : t -> string -> (unit, Eager_robust.Err.t) result
 (** Remove the table, its heap, its catalog indexes, and every cached
-    derived structure (key indexes, secondary indexes, statistics).
-    [Error] with kind [Catalog] for an unknown table. *)
+    derived structure (key indexes, secondary indexes, and its entry in
+    the shared statistics store).  [Error] with kind [Catalog] for an
+    unknown table. *)
 
 val create_domain : t -> Catalog.domain_def -> unit
 val create_view : t -> Catalog.view_def -> unit
@@ -152,6 +155,14 @@ val index_lookup :
     NULL returns nothing). *)
 
 val stats : t -> string -> Stats.t
-(** Cached per table; recomputed when the heap has grown. *)
+(** The table's statistics, from one store per database that [t]'s
+    snapshots and reader views share, keyed by {!Heap.id}.  A stored
+    collection is reused while the table has had no DELETE/UPDATE
+    compaction since and its row count is within 1/8 of the count it was
+    collected at; the result then carries the exact current row count
+    and the old {!Stats.collected_at}.  Otherwise the table is collected
+    again over [t]'s own heap, outside the store's lock, and published
+    unless the store already holds a collection from a later
+    compaction.  Nothing is collected at creation or load. *)
 
 val row_count : t -> string -> int

@@ -43,16 +43,22 @@ and paged = {
 type t = {
   schema : Schema.t;
   mutable backing : backing;
+  id : int; (* shared by every copy; see [copy] *)
   mutable gen : int;
   mutable compactions : int;
 }
 
 let dummy_row : Row.t = [||]
 
+(* heaps are created by writers and by reader threads (executor temp
+   tables), so the id source must be atomic *)
+let next_id = Atomic.make 0
+
 let create schema =
   {
     schema;
     backing = Ram { rows = Array.make 16 dummy_row; len = 0 };
+    id = Atomic.fetch_and_add next_id 1;
     gen = 0;
     compactions = 0;
   }
@@ -61,6 +67,7 @@ let create_paged ~pool ~pager schema =
   {
     schema;
     backing = Paged { pool; pager; prefs = [||]; npages = 0; plen = 0 };
+    id = Atomic.fetch_and_add next_id 1;
     gen = 0;
     compactions = 0;
   }
@@ -71,6 +78,7 @@ let schema t = t.schema
 let length t =
   match t.backing with Ram r -> r.len | Paged p -> p.plen
 
+let id t = t.id
 let generation t = t.gen
 let compactions t = t.compactions
 
@@ -156,7 +164,8 @@ let copy t =
           { pool = p.pool; pager = p.pager; prefs; npages = p.npages;
             plen = p.plen }
   in
-  { schema = t.schema; backing; gen = 0; compactions = 0 }
+  { schema = t.schema; backing; id = t.id; gen = 0;
+    compactions = t.compactions }
 
 (* page directory lookup: greatest pref with start <= i *)
 let pref_of p i =

@@ -30,9 +30,15 @@ val of_rows : Schema.t -> Row.t list -> t
     are shared (immutable engine-wide), only the backing array is
     duplicated.  Paged: the page directory is duplicated and the tail
     page frozen, so both heaps share every existing immutable page and
-    append fresh pages of their own.  Generation/compaction counters
-    restart at zero either way. *)
+    append fresh pages of their own.  The copy keeps [t]'s {!id} and
+    {!compactions} count (it is the same table at another version); its
+    {!generation} restarts at zero. *)
 val copy : t -> t
+
+val id : t -> int
+(** Identity of the table this heap stores, unique per process: every
+    {!create}/{!create_paged} draws a fresh one and {!copy} keeps it.
+    A table dropped and recreated under the same name gets a new id. *)
 
 val schema : t -> Schema.t
 val length : t -> int

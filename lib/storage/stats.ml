@@ -11,7 +11,9 @@ type col_stats = {
   hist : histogram option;
 }
 
-type t = { rows : int; cols : col_stats array }
+(* [rows] is the table's current row count; [collected_at] the count
+   the per-column summaries were gathered at (see [with_rows]) *)
+type t = { rows : int; collected_at : int; cols : col_stats array }
 
 let bucket_count = 16
 
@@ -87,6 +89,7 @@ let collect heap =
     heap;
   {
     rows = Heap.length heap;
+    collected_at = Heap.length heap;
     cols =
       Array.init arity (fun i ->
           {
@@ -103,6 +106,8 @@ let collect heap =
   }
 
 let row_count t = t.rows
+let collected_at t = t.collected_at
+let with_rows t rows = { t with rows }
 let col t i = t.cols.(i)
 let col_by_ref t schema c = t.cols.(Schema.index_of schema c)
 

@@ -24,7 +24,22 @@ val fraction_below : histogram -> float -> float
 type t
 
 val collect : Heap.t -> t
+(** Two full passes over the heap.  Callers go through
+    [Database.stats], which reuses an earlier collection while the
+    table has drifted little. *)
+
 val row_count : t -> int
+(** The table's row count: exact, even when {!with_rows} carried the
+    per-column summaries over from an earlier collection. *)
+
+val collected_at : t -> int
+(** The row count the per-column summaries (NDV, nulls, min/max,
+    histograms) were collected at. *)
+
+val with_rows : t -> int -> t
+(** [with_rows t n] is [t] with its row count set to [n] and everything
+    else, {!collected_at} included, unchanged.  O(1). *)
+
 val col : t -> int -> col_stats
 val col_by_ref : t -> Schema.t -> Colref.t -> col_stats
 val ndv_of_cols : t -> int array -> int

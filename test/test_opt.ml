@@ -165,6 +165,35 @@ let test_planner_invalid_query () =
   let text = Explain.text db d in
   Alcotest.(check bool) "explain prints" true (String.length text > 20)
 
+(* EXPLAIN reports how far each base table has moved since its
+   statistics were collected: a few inserts below the drift bound keep
+   the old collection, and the line shows both counts *)
+let test_explain_statistics_age () =
+  let w = Employee_dept.setup ~employees:800 ~departments:20 () in
+  let db = w.Employee_dept.db and q = w.Employee_dept.query in
+  ignore (Explain.of_decision db (decide_ok db q));
+  for e = 801 to 805 do
+    Eager_storage.Database.insert_exn db "Employee"
+      Eager_value.Value.[ Int e; Str "L"; Str "F"; Int 1 ]
+  done;
+  let ex = Explain.of_decision db (decide_ok db q) in
+  let age table =
+    List.find (fun (a : Explain.stats_age) -> a.Explain.table = table)
+      ex.Explain.statistics
+  in
+  Alcotest.(check (pair int int)) "Employee: old collection, new count"
+    (800, 805)
+    ((age "Employee").Explain.collected_at, (age "Employee").Explain.rows);
+  Alcotest.(check (pair int int)) "Department unchanged" (20, 20)
+    ((age "Department").Explain.collected_at, (age "Department").Explain.rows);
+  Alcotest.(check int) "one line per base table" 2
+    (List.length ex.Explain.statistics);
+  let text = Explain.render ex in
+  let line = "statistics: Employee collected at 800 rows, now 805\n" in
+  let nl = String.length line and tl = String.length text in
+  let rec has i = i + nl <= tl && (String.sub text i nl = line || has (i + 1)) in
+  Alcotest.(check bool) "rendered" true (has 0)
+
 (* ---------------- unique-group detection (Klug/Dayal) ---------------- *)
 
 let unique_db () =
@@ -512,6 +541,8 @@ let () =
           Alcotest.test_case "Figure 8 decision" `Quick test_planner_fig8;
           Alcotest.test_case "invalid query fallback" `Quick
             test_planner_invalid_query;
+          Alcotest.test_case "EXPLAIN shows statistics age" `Quick
+            test_explain_statistics_age;
         ] );
       ( "join order",
         [

@@ -204,6 +204,72 @@ let test_snapshot_reuse () =
   stmt db "INSERT INTO t VALUES (3)";
   Alcotest.(check int) "old view unchanged" 1 (Database.row_count v1 "t")
 
+(* Two readers plan and execute the same template, each on its own
+   reader view of one snapshot, while the live database keeps
+   committing inserts (and publishing statistics for later versions)
+   into the shared statistics store.  Neither may raise, both must
+   agree on the plan, and both must match the reference evaluator. *)
+let test_concurrent_planning_shared_stats () =
+  let open Eager_workload in
+  let open Eager_opt in
+  let w = Employee_dept.setup ~employees:2000 ~departments:40 () in
+  let db = w.Employee_dept.db and q = w.Employee_dept.query in
+  let snap = Database.snapshot db in
+  let readers_done = Atomic.make 0 in
+  let reader () =
+    let rec go i acc =
+      if i = 0 then acc
+      else
+        let view = Database.reader_view snap in
+        match Planner.decide view q with
+        | Error e -> Error (Err.to_string e)
+        | Ok d ->
+            let rows = Eager_exec.Exec.run_rows view d.Planner.chosen in
+            Thread.yield ();
+            go (i - 1) (Ok (d.Planner.chosen_kind, d.Planner.plan_lazy, rows))
+    in
+    let r =
+      try go 10 (Error "no run")
+      with exn -> Error (Printexc.to_string exn)
+    in
+    Atomic.incr readers_done;
+    r
+  in
+  let results = Array.make 2 (Error "not run") in
+  let threads =
+    List.init 2 (fun i -> Thread.create (fun () -> results.(i) <- reader ()) ())
+  in
+  (* the writer commits inserts in bursts, and after each burst reads
+     statistics over a newer version, so its collections race the
+     readers' into the store (past the drift bound they evict each
+     other's entries) *)
+  let next = ref 2001 in
+  while Atomic.get readers_done < 2 do
+    for _ = 1 to 100 do
+      Database.insert_exn db "Employee"
+        Eager_value.Value.
+          [ Int !next; Str "L"; Str "F"; Int (1 + (!next mod 40)) ];
+      incr next
+    done;
+    ignore
+      (Database.stats (Database.reader_view (Database.snapshot db)) "Employee");
+    Thread.yield ()
+  done;
+  List.iter Thread.join threads;
+  Alcotest.(check bool) "the writer committed meanwhile" true (!next > 2001);
+  match results.(0), results.(1) with
+  | Ok (k0, lazy0, rows0), Ok (k1, _, rows1) ->
+      Alcotest.(check string) "same plan kind"
+        (Planner.kind_to_string k0) (Planner.kind_to_string k1);
+      let expected =
+        Eager_exec.Ref_eval.eval (Database.reader_view snap) lazy0
+      in
+      Alcotest.(check bool) "reader 0 matches Ref_eval" true
+        (Eager_exec.Exec.multiset_equal expected rows0);
+      Alcotest.(check bool) "reader 1 matches Ref_eval" true
+        (Eager_exec.Exec.multiset_equal expected rows1)
+  | Error e, _ | _, Error e -> Alcotest.fail ("reader raised: " ^ e)
+
 (* ====================== end-to-end socket tests =================== *)
 
 let start_server ?(admission = Admission.default_config) ?db_dir
@@ -932,8 +998,12 @@ let () =
           Alcotest.test_case "host resolution" `Quick test_resolve_host;
         ] );
       ( "snapshot",
-        [ Alcotest.test_case "LSN-stamped reuse + immutability" `Quick
-            test_snapshot_reuse ] );
+        [
+          Alcotest.test_case "LSN-stamped reuse + immutability" `Quick
+            test_snapshot_reuse;
+          Alcotest.test_case "concurrent planning, shared statistics" `Quick
+            test_concurrent_planning_shared_stats;
+        ] );
       ( "sessions",
         [
           Alcotest.test_case "end-to-end statements" `Quick test_end_to_end;

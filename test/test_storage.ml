@@ -311,6 +311,108 @@ let test_stats_cache () =
   let s2 = Database.stats db "Child" in
   Alcotest.(check int) "cache invalidated on growth" 2 (Stats.row_count s2)
 
+(* The statistics store: entries outlive a version and are refreshed on
+   drift, compaction or drop.  [collected_at] tells a reused entry from
+   a fresh collection. *)
+let insert_range db lo hi =
+  for i = lo to hi - 1 do
+    Database.insert_exn db "S" [ Value.Int i; Value.Int (i mod 10) ]
+  done
+
+let drift_db n =
+  let db = Database.create () in
+  Database.create_table db
+    (Table_def.make "S" [ col "k" Ctype.Int; col "v" Ctype.Int ] []);
+  insert_range db 0 n;
+  db
+
+let check_stats what ~rows ~collected_at ~ndv_k s =
+  Alcotest.(check int) (what ^ ": rows") rows (Stats.row_count s);
+  Alcotest.(check int) (what ^ ": collected at") collected_at
+    (Stats.collected_at s);
+  Alcotest.(check int) (what ^ ": ndv k") ndv_k (Stats.col s 0).Stats.ndv
+
+let test_stats_within_drift () =
+  let db = drift_db 80 in
+  check_stats "first" ~rows:80 ~collected_at:80 ~ndv_k:80
+    (Database.stats db "S");
+  (* 10 of 80 rows is exactly 1/8: still reused *)
+  insert_range db 80 90;
+  check_stats "reused" ~rows:90 ~collected_at:80 ~ndv_k:80
+    (Database.stats db "S")
+
+let test_stats_past_drift () =
+  let db = drift_db 80 in
+  ignore (Database.stats db "S");
+  insert_range db 80 91;
+  check_stats "recollected" ~rows:91 ~collected_at:91 ~ndv_k:91
+    (Database.stats db "S")
+
+let test_stats_compaction_recollects () =
+  let db = drift_db 80 in
+  let through_snapshot () =
+    Database.stats (Database.reader_view (Database.snapshot db)) "S"
+  in
+  ignore (through_snapshot ());
+  (match
+     Database.delete db "S"
+       ~where:(Expr.eq (Expr.col "S" "k") (Expr.int 0))
+       ()
+   with
+  | Ok n -> Alcotest.(check int) "one deleted" 1 n
+  | Error e -> Alcotest.fail (Err.to_string e));
+  (* 1 of 80 rows is well inside the drift bound: only the compaction
+     (which a snapshot's heap inherits) forces the new collection *)
+  check_stats "after DELETE" ~rows:79 ~collected_at:79 ~ndv_k:79
+    (through_snapshot ());
+  Alcotest.(check int) "ndv v before UPDATE" 10
+    (Stats.col (Database.stats db "S") 1).Stats.ndv;
+  (match
+     Database.update db "S" ~set:[ ("v", Expr.col "S" "k") ] ~where:Expr.etrue
+       ()
+   with
+  | Ok n -> Alcotest.(check int) "all updated" 79 n
+  | Error e -> Alcotest.fail (Err.to_string e));
+  let s = Database.stats db "S" in
+  Alcotest.(check int) "UPDATE keeps the row count" 79 (Stats.row_count s);
+  Alcotest.(check int) "ndv v after UPDATE" 79 (Stats.col s 1).Stats.ndv
+
+let test_stats_drop_recreate () =
+  let db = drift_db 3 in
+  ignore (Database.stats db "S");
+  (match Database.drop_table db "S" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Err.to_string e));
+  Database.create_table db
+    (Table_def.make "S"
+       [ col "k" Ctype.Int; col "v" Ctype.Int; col "w" Ctype.Int ]
+       []);
+  (* same name, same row count, same compaction count as the dropped
+     table: its entry (removed on drop, and keyed by the old heap's id)
+     must not come back *)
+  for i = 0 to 2 do
+    Database.insert_exn db "S" [ Value.Int i; Value.Int i; Value.Int (7 * i) ]
+  done;
+  let s = Database.stats db "S" in
+  Alcotest.(check int) "new column summarised" 3 (Stats.col s 2).Stats.ndv;
+  Alcotest.(check int) "new v ndv" 3 (Stats.col s 1).Stats.ndv
+
+let test_stats_shared_across_versions () =
+  let db = drift_db 80 in
+  let snap = Database.snapshot db in
+  check_stats "reader view" ~rows:80 ~collected_at:80 ~ndv_k:80
+    (Database.stats (Database.reader_view snap) "S");
+  insert_range db 80 85;
+  check_stats "live reuses the view's collection" ~rows:85 ~collected_at:80
+    ~ndv_k:80 (Database.stats db "S");
+  let snap2 = Database.snapshot db in
+  insert_range db 85 86;
+  check_stats "later snapshot reuses it" ~rows:85 ~collected_at:80 ~ndv_k:80
+    (Database.stats (Database.reader_view snap2) "S");
+  check_stats "the first snapshot still sees its own rows" ~rows:80
+    ~collected_at:80 ~ndv_k:80
+    (Database.stats (Database.reader_view snap) "S")
+
 let test_histogram () =
   let schema = Schema.make [ (Colref.make "T" "v", Ctype.Int) ] in
   let h = Heap.create schema in
@@ -552,6 +654,16 @@ let () =
           Alcotest.test_case "foreign keys" `Quick test_foreign_key;
           Alcotest.test_case "types and arity" `Quick test_type_checking;
           Alcotest.test_case "stats cache" `Quick test_stats_cache;
+          Alcotest.test_case "stats cache: reused within drift" `Quick
+            test_stats_within_drift;
+          Alcotest.test_case "stats cache: recollected past drift" `Quick
+            test_stats_past_drift;
+          Alcotest.test_case "stats cache: DELETE and UPDATE recollect" `Quick
+            test_stats_compaction_recollects;
+          Alcotest.test_case "stats cache: drop and recreate" `Quick
+            test_stats_drop_recreate;
+          Alcotest.test_case "stats cache: shared across versions" `Quick
+            test_stats_shared_across_versions;
         ] );
       ( "dml",
         [

@@ -172,6 +172,17 @@ while IFS= read -r hit; do
 done < <(grep -rn --include='*.ml' -E 'Pager\.(read|write|alloc)[^_a-zA-Z]' \
   lib bin | grep -v 'lib/storage/buffer_pool\.ml' || true)
 
+# Statistics are collected in one place: Database.stats, which carries
+# them across snapshot versions and refreshes them only on drift,
+# compaction or drop.  A direct Stats.collect anywhere else brings back
+# a full two-pass table scan per statement.  Tests may still call it.
+while IFS= read -r hit; do
+  echo "lint: Stats.collect outside lib/storage/database.ml: $hit" >&2
+  echo "lint: read statistics through Database.stats." >&2
+  bad=1
+done < <(grep -rn --include='*.ml' -E 'Stats\.collect([^_a-zA-Z]|$)' \
+  lib bin bench | grep -v '^lib/storage/database\.ml:' || true)
+
 # no allowlist for nondeterminism: Random.self_init and the global
 # generator are banned outright (Random.State through Gen is the only
 # sanctioned source of randomness)
