@@ -3,9 +3,10 @@
     The server keeps one frozen copy of the database per commit point.
     A reader asks for the snapshot at the current LSN; if the cache
     already holds that version it is shared (snapshots are never
-    mutated), otherwise one [Database.snapshot] deep copy is taken and
-    cached — so the copy cost is paid once per committed batch, not
-    once per query.  Readers receive a private [Database.reader_view]
+    mutated), otherwise one [Database.snapshot] is taken and cached —
+    O(directory entries), since versions share every row and every full
+    chunk or page — so even that cost is paid once per committed batch,
+    not once per query.  Readers receive a private [Database.reader_view]
     over the frozen copy, so concurrent readers share row storage and
     the database's lock-guarded statistics store, but never share index
     caches.
@@ -30,4 +31,4 @@ val get : t -> lsn:int -> db:Database.t -> Database.t
 
 val cached_lsn : t -> int option
 val copies : t -> int
-(** Deep copies taken so far — the denominator of snapshot reuse. *)
+(** Snapshots taken so far — the denominator of snapshot reuse. *)

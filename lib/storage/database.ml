@@ -4,21 +4,52 @@ open Eager_expr
 open Eager_catalog
 open Eager_robust
 
-(* Heaps are append-only between compactions, so key indexes are maintained
-   incrementally: [rows_seen] records how many rows have been folded in, and
-   a change in the heap's compaction counter forces a full rebuild. *)
-type key_index = {
+(* An incremental index over one table: key values -> one binding per
+   row whose key columns are all non-NULL, with a payload per binding
+   (unit for key indexes, the row for secondary ones).  Heaps are
+   append-only between compactions, so [rows_seen] records how many rows
+   have been folded in, and a change in the heap's compaction counter
+   forces a full rebuild.  A truncation unwinds the bindings past the
+   cut (see [unwind]). *)
+type 'a index = {
+  idxs : int array; (* key column positions *)
   mutable rows_seen : int;
   mutable compactions_seen : int;
-  keys : (Value.t list, unit) Hashtbl.t;
+  tbl : (Value.t list, 'a) Hashtbl.t;
 }
 
-(* secondary index: key values -> rows, maintained like [key_index] *)
-type sec_index = {
-  mutable s_rows_seen : int;
-  mutable s_compactions_seen : int;
-  entries : (Value.t list, Row.t) Hashtbl.t;
-}
+let new_index idxs =
+  { idxs; rows_seen = 0; compactions_seen = -1; tbl = Hashtbl.create 256 }
+
+(* keys containing NULL never participate in matching *)
+let index_key idx row =
+  if Array.exists (fun j -> Value.is_null row.(j)) idx.idxs then None
+  else Some (Row.key_on idx.idxs row)
+
+let refresh h idx payload =
+  if idx.compactions_seen <> Heap.compactions h then begin
+    Hashtbl.reset idx.tbl;
+    idx.rows_seen <- 0;
+    idx.compactions_seen <- Heap.compactions h
+  end;
+  if idx.rows_seen < Heap.length h then begin
+    for i = idx.rows_seen to Heap.length h - 1 do
+      let row = Heap.get h i in
+      Option.iter (fun k -> Hashtbl.add idx.tbl k (payload row)) (index_key idx row)
+    done;
+    idx.rows_seen <- Heap.length h
+  end
+
+(* Forget rows [n..rows_seen-1] before the heap is truncated to [n]:
+   their bindings are removed newest first, because [Hashtbl.remove]
+   drops the newest binding of a key, and an older row may share it. *)
+let unwind h n idx =
+  if idx.compactions_seen = Heap.compactions h && idx.rows_seen > n then begin
+    for i = idx.rows_seen - 1 downto n do
+      Option.iter (Hashtbl.remove idx.tbl) (index_key idx (Heap.get h i))
+    done;
+    idx.rows_seen <- n
+  end
 
 (* Paged storage: when a database is created with a [storage_config],
    every table heap lives on fixed-size pages behind one shared buffer
@@ -56,9 +87,9 @@ type t = {
   mutable cat : Catalog.t;
   heaps : (string, Heap.t) Hashtbl.t;
   stats_store : stats_store;
-  (* (table, key columns) -> set of key values; used for FK lookups *)
-  key_indexes : (string * string list, key_index) Hashtbl.t;
-  sec_indexes : (string, sec_index) Hashtbl.t; (* by index name *)
+  (* (table, key columns) -> key values; used for key and FK checks *)
+  key_indexes : (string * string list, unit index) Hashtbl.t;
+  sec_indexes : (string, Row.t index) Hashtbl.t; (* by index name *)
   storage : storage_state option;
 }
 
@@ -217,27 +248,11 @@ let key_index t tname cols =
     match Hashtbl.find_opt t.key_indexes key with
     | Some idx -> idx
     | None ->
-        let idx =
-          { rows_seen = 0; compactions_seen = -1; keys = Hashtbl.create 256 }
-        in
+        let idx = new_index (Schema.indices (Heap.schema h) cols) in
         Hashtbl.replace t.key_indexes key idx;
         idx
   in
-  if idx.compactions_seen <> Heap.compactions h then begin
-    Hashtbl.reset idx.keys;
-    idx.rows_seen <- 0;
-    idx.compactions_seen <- Heap.compactions h
-  end;
-  if idx.rows_seen < Heap.length h then begin
-    let idxs = Schema.indices (Heap.schema h) cols in
-    for i = idx.rows_seen to Heap.length h - 1 do
-      let row = Heap.get h i in
-      (* keys containing NULL never participate in matching *)
-      if Array.for_all (fun j -> not (Value.is_null row.(j))) idxs then
-        Hashtbl.replace idx.keys (Row.key_on idxs row) ()
-    done;
-    idx.rows_seen <- Heap.length h
-  end;
+  refresh h idx (fun _ -> ());
   idx
 
 let check_types td values =
@@ -298,7 +313,7 @@ let insert_impl t tname values =
             else
               let idx = key_index t tname cols in
               let key = Row.key_on idxs row in
-              if Hashtbl.mem idx.keys key then
+              if Hashtbl.mem idx.tbl key then
                 Error
                   (Printf.sprintf "duplicate key (%s) for table %s"
                      (String.concat ", " key_cols) tname)
@@ -323,7 +338,7 @@ let insert_impl t tname values =
                       let ref_colrefs = List.map (Colref.make ref_table) ref_cols in
                       let ridx = key_index t ref_table ref_colrefs in
                       let key = Row.key_on idxs row in
-                      if Hashtbl.mem ridx.keys key then Ok ()
+                      if Hashtbl.mem ridx.tbl key then Ok ()
                       else
                         Error
                           (Printf.sprintf
@@ -358,23 +373,34 @@ let insert_exn t tname values =
 
 (* Statement-atomic bulk insert: rows are validated and appended one at a
    time (so rows within the batch can satisfy each other's constraints),
-   but a refusal anywhere rolls the heap back to its prior contents.
-   [replace_all] bumps the compaction counter, which forces every
-   incremental index over the table to rebuild — a rolled-back prefix can
-   never linger in a cache. *)
+   but a refusal anywhere truncates the heap back to its length before
+   the first row, after unwinding the rows that landed from every
+   incremental index over the table.  O(rows landed): the table is never
+   copied, and its statistics entry stays valid (no compaction). *)
 let load_result t tname rows =
   match Catalog.find_table t.cat tname with
   | None -> Error (Err.storage "unknown table %s" tname)
   | Some _ ->
       let h = heap t tname in
-      let before = Heap.to_list h in
+      let n = Heap.length h in
+      let rollback () =
+        Hashtbl.iter
+          (fun (tab, _) idx -> if String.equal tab tname then unwind h n idx)
+          t.key_indexes;
+        List.iter
+          (fun (d : Catalog.index_def) ->
+            Option.iter (unwind h n)
+              (Hashtbl.find_opt t.sec_indexes d.Catalog.iname))
+          (Catalog.indexes_on t.cat tname);
+        Heap.truncate h n
+      in
       let rec go landed = function
         | [] -> Ok ()
         | r :: rest -> (
             match insert t tname r with
             | Ok () -> go (landed + 1) rest
             | Error e ->
-                if landed > 0 then Heap.replace_all h before;
+                rollback ();
                 Error
                   (Err.add_context
                      (Printf.sprintf "load into %s (row %d of %d)" tname
@@ -395,8 +421,7 @@ let create_index t ~name ~table ~cols =
   match Catalog.add_index t.cat { Catalog.iname = name; itable = table; icols = cols } with
   | cat ->
       t.cat <- cat;
-      Hashtbl.replace t.sec_indexes name
-        { s_rows_seen = 0; s_compactions_seen = -1; entries = Hashtbl.create 256 };
+      Hashtbl.remove t.sec_indexes name;
       Ok ()
   | exception Failure msg -> Error msg
 
@@ -404,48 +429,30 @@ let find_equality_index t ~table ~col =
   Catalog.indexes_on t.cat table
   |> List.find_opt (fun (i : Catalog.index_def) -> i.Catalog.icols = [ col ])
 
-let refresh_sec_index t (def : Catalog.index_def) idx =
-  let h = heap t def.Catalog.itable in
-  if idx.s_compactions_seen <> Heap.compactions h then begin
-    Hashtbl.reset idx.entries;
-    idx.s_rows_seen <- 0;
-    idx.s_compactions_seen <- Heap.compactions h
-  end;
-  if idx.s_rows_seen < Heap.length h then begin
-    let idxs =
-      Schema.indices (Heap.schema h)
-        (List.map (Colref.make def.Catalog.itable) def.Catalog.icols)
-    in
-    for i = idx.s_rows_seen to Heap.length h - 1 do
-      let row = Heap.get h i in
-      (* NULL keys never participate in equality lookups *)
-      if Array.for_all (fun j -> not (Value.is_null row.(j))) idxs then
-        Hashtbl.add idx.entries (Row.key_on idxs row) row
-    done;
-    idx.s_rows_seen <- Heap.length h
-  end
-
 let index_lookup t (def : Catalog.index_def) values =
   if List.exists Value.is_null values then []
   else begin
+    let h = heap t def.Catalog.itable in
     let idx =
       match Hashtbl.find_opt t.sec_indexes def.Catalog.iname with
       | Some idx -> idx
       | None ->
           let idx =
-            { s_rows_seen = 0; s_compactions_seen = -1; entries = Hashtbl.create 256 }
+            new_index
+              (Schema.indices (Heap.schema h)
+                 (List.map (Colref.make def.Catalog.itable) def.Catalog.icols))
           in
           Hashtbl.replace t.sec_indexes def.Catalog.iname idx;
           idx
     in
-    refresh_sec_index t def idx;
+    refresh h idx Fun.id;
     (* normalise via Row.key_on so Int/Float keys match the stored form *)
     let key =
       Row.key_on
         (Array.init (List.length values) Fun.id)
         (Array.of_list values)
     in
-    Hashtbl.find_all idx.entries key
+    Hashtbl.find_all idx.tbl key
   end
 
 (* ------------------------------------------------------------------ *)
@@ -505,7 +512,11 @@ let delete_impl t tname ?(params = Expr.no_params) ~where () =
       let schema = Heap.schema h in
       let pred = Expr.compile_pred ~params schema where in
       let doomed row = Tbool.holds (pred row) in
-      let remaining = List.filter (fun r -> not (doomed r)) (Heap.to_list h) in
+      let remaining =
+        List.filter
+          (fun r -> not (doomed r))
+          (Heap.to_list h (* table-scan-ok: DELETE keeps the survivors *))
+      in
       (* referential integrity: NO ACTION — every incoming FK must still
          resolve against the remaining rows *)
       let* () =
@@ -519,7 +530,9 @@ let delete_impl t tname ?(params = Expr.no_params) ~where () =
             in
             let rows =
               if String.equal referencer.Table_def.tname tname then remaining
-              else Heap.to_list (heap t referencer.Table_def.tname)
+              else
+                Heap.to_list (* table-scan-ok: NO ACTION checks every referrer *)
+                  (heap t referencer.Table_def.tname)
             in
             check_incoming t referencer cols ~rows available)
           (Ok ()) (incoming_fks t tname)
@@ -564,7 +577,7 @@ let update_impl t tname ?(params = Expr.no_params) ~set ~where () =
               nr
             end
             else row)
-          (Heap.to_list h)
+          (Heap.to_list h (* table-scan-ok: UPDATE rewrites the table *))
       in
       (* validate the prospective state: per-row constraints *)
       let checks = Catalog.check_predicates t.cat ~rel:tname td in
@@ -641,7 +654,7 @@ let update_impl t tname ?(params = Expr.no_params) ~set ~where () =
                   else
                     (key_index t ref_table
                        (List.map (Colref.make ref_table) ref_cols))
-                      .keys
+                      .tbl
                 in
                 List.fold_left
                   (fun acc row ->
@@ -672,7 +685,9 @@ let update_impl t tname ?(params = Expr.no_params) ~set ~where () =
             in
             let rows =
               if String.equal referencer.Table_def.tname tname then new_rows
-              else Heap.to_list (heap t referencer.Table_def.tname)
+              else
+                Heap.to_list (* table-scan-ok: NO ACTION checks every referrer *)
+                  (heap t referencer.Table_def.tname)
             in
             check_incoming t referencer cols ~rows available)
           (Ok ()) (incoming_fks t tname)
@@ -680,7 +695,7 @@ let update_impl t tname ?(params = Expr.no_params) ~set ~where () =
       (* all prospective-state checks passed: mutate in one step, with the
          fault point ahead of it so an abort is all-or-nothing *)
       Fault.trip "storage.write";
-      Heap.replace_all h new_rows;
+      Heap.replace_all h new_rows (* table-scan-ok: UPDATE rewrites the table *);
       Ok !changed
 
 let update t tname ?params ~set ~where () =

@@ -56,12 +56,15 @@ val close_storage : t -> unit
     readers). *)
 
 val snapshot : t -> t
-(** A frozen, independent copy: heaps are duplicated (rows shared —
-    they are immutable engine-wide), the catalog value is captured, key
-    and secondary indexes start empty, and the statistics store is
-    shared with [t] (see {!stats}).  Mutations of either instance never
-    show through the other.  This is the MVCC-lite version a server
-    stamps with the commit LSN and hands to readers. *)
+(** A frozen, independent copy in O(tables + directory entries): each
+    heap is {!Heap.copy}'d, which duplicates its chunk or page directory
+    and freezes the tail, sharing every row and every chunk or page with
+    [t]; the catalog value is captured, key and secondary indexes start
+    empty, and the statistics store is shared with [t] (see {!stats}).
+    Mutations of either instance never show through the other: the
+    first write to a shared tail copies at most one 1024-row chunk or
+    writes a fresh page.  This is the MVCC-lite version a server stamps
+    with the commit LSN and hands to readers. *)
 
 (** [reader_view t] is a private view sharing [t]'s heaps and statistics
     store but owning fresh key and secondary indexes.  Intended for
@@ -105,9 +108,13 @@ val insert_exn : t -> string -> Value.t list -> unit
 val load_result :
   t -> string -> Value.t list list -> (unit, Eager_robust.Err.t) result
 (** Statement-atomic bulk insert: either every row lands or the table is
-    rolled back to its prior contents (and every incremental index over
-    it is invalidated).  Rows within the batch are inserted in order, so
-    later rows may reference earlier ones. *)
+    rolled back to its prior contents.  Rows within the batch are
+    inserted in order, so later rows may reference earlier ones.  The
+    rollback costs O(rows landed): the keys of the landed rows are
+    removed from every incremental key and secondary index over the
+    table, and the heap is {!Heap.truncate}d to its length before the
+    first row.  It is not a compaction, so the table's statistics entry
+    stays valid. *)
 
 val load : t -> string -> Value.t list list -> unit
 (** {!load_result}, raising [Err.Error_exn] on refusal. *)
@@ -142,7 +149,8 @@ val update :
 val create_index :
   t -> name:string -> table:string -> cols:string list -> (unit, string) result
 (** Declare a secondary equality-lookup index.  Maintained incrementally on
-    insert and rebuilt after DELETE/UPDATE compactions. *)
+    insert, unwound by a rolled-back {!load_result}, and rebuilt after
+    DELETE/UPDATE compactions. *)
 
 val find_equality_index :
   t -> table:string -> col:string -> Catalog.index_def option

@@ -11,13 +11,15 @@ open Eager_robust
 type t
 
 val create : Schema.t -> t
-(** RAM-backed heap (the original backing). *)
+(** RAM-backed heap: rows live in fixed 1024-row chunks behind a chunk
+    directory.  Only the tail chunk is ever written; full chunks are
+    frozen immutable, which is what keeps {!copy} snapshots cheap and
+    safe. *)
 
 val create_paged : pool:Buffer_pool.t -> pager:Pager.t -> Schema.t -> t
 (** Paged heap file: rows live on fixed-size pages owned by [pager] and
-    cached/pinned through [pool].  Only the tail page is ever rewritten;
-    full pages are frozen immutable, which is what keeps {!copy}
-    snapshots cheap and safe. *)
+    cached/pinned through [pool], behind a page directory.  Only the
+    tail page is ever rewritten; full pages are frozen immutable. *)
 
 val is_paged : t -> bool
 
@@ -26,11 +28,15 @@ val page_count : t -> int
 
 val of_rows : Schema.t -> Row.t list -> t
 
-(** [copy t] is an independent heap with the same contents.  RAM: rows
-    are shared (immutable engine-wide), only the backing array is
-    duplicated.  Paged: the page directory is duplicated and the tail
-    page frozen, so both heaps share every existing immutable page and
-    append fresh pages of their own.  The copy keeps [t]'s {!id} and
+(** [copy t] is an independent heap with the same contents, in
+    O(directory entries) — one per 1024-row RAM chunk or per page; no row
+    is copied.  Sharing rule: the directory is duplicated and [t]'s tail
+    chunk or page frozen, so both heaps share every existing segment,
+    and a frozen segment is never written again.  A later write that
+    would change one writes a fresh segment instead: an append into a
+    frozen RAM tail copies that chunk (at most 1024 slots), a paged
+    append starts a new page, and {!truncate} copies the kept prefix of
+    a frozen segment it cuts into.  The copy keeps [t]'s {!id} and
     {!compactions} count (it is the same table at another version); its
     {!generation} restarts at zero. *)
 val copy : t -> t
@@ -66,8 +72,8 @@ val cursor : ?batch_rows:int -> ?gov:Governor.t -> t -> cursor
 
 val cursor_next : cursor -> Row.t array option
 (** The next slice, or [None] when the snapshot is exhausted.  Rows are
-    shared with the heap (rows are immutable); a paged slice never spans
-    pages, so it may be shorter than [batch_rows].  Raises
+    shared with the heap (rows are immutable); a slice never spans a RAM
+    chunk or a page, so it may be shorter than [batch_rows].  Raises
     [Invalid_argument] if the heap was mutated since the cursor opened. *)
 
 val cursor_remaining : cursor -> int
@@ -75,10 +81,21 @@ val cursor_remaining : cursor -> int
 
 val exists : (Row.t -> bool) -> t -> bool
 val generation : t -> int
-(** Monotone counter bumped on every insert; used to invalidate caches. *)
+(** Monotone counter bumped on every insert, truncation and rewrite;
+    open cursors check it. *)
+
+val truncate : t -> int -> unit
+(** [truncate t n] drops rows [n .. length t - 1] — how a failed
+    multi-row INSERT rolls back — in O(rows dropped) plus at most one
+    chunk or page copied.  Bumps {!generation} (open cursors raise) but
+    not {!compactions}: rows [0 .. n-1] keep their positions, so
+    incremental consumers only need to forget rows past [n].  Copies
+    taken earlier keep their rows.  Raises [Invalid_argument] unless
+    [0 <= n <= length t]. *)
 
 val delete_where : (Row.t -> bool) -> t -> int
-(** Remove matching rows in place; returns the count.  Bumps
+(** Remove matching rows, rebuilding the survivors into fresh segments
+    (copies keep the old ones); returns the count.  Bumps
     {!compactions} (incremental caches must rebuild). *)
 
 val replace_all : t -> Row.t list -> unit
@@ -87,5 +104,5 @@ val replace_all : t -> Row.t list -> unit
 
 val compactions : t -> int
 (** Counter bumped by every structural rewrite ([delete_where],
-    [replace_all]).  Append-only consumers (incremental key indexes) must
+    [replace_all]), but not by {!truncate}.  Append-only consumers (incremental key indexes) must
     fully rebuild when it changes. *)

@@ -183,6 +183,25 @@ while IFS= read -r hit; do
 done < <(grep -rn --include='*.ml' -E 'Stats\.collect([^_a-zA-Z]|$)' \
   lib bin bench | grep -v '^lib/storage/database\.ml:' || true)
 
+# A write costs what it changes: no whole-table copy in the database's
+# write path.  Heap.to_list and Heap.replace_all in
+# lib/storage/database.ml are O(table), so each use must carry a
+# `table-scan-ok` marker on the same line naming why the statement needs
+# the whole table (DELETE and UPDATE validate and rewrite it wholesale;
+# INSERT rolls back by truncation and must never copy).
+while IFS= read -r hit; do
+  case "$hit" in
+  *table-scan-ok*) ;;
+  *)
+    echo "lint: whole-table copy in lib/storage/database.ml: $hit" >&2
+    echo "lint: keep writes O(change) (Heap.truncate, incremental indexes)," >&2
+    echo "lint: or mark the line 'table-scan-ok: <why>'." >&2
+    bad=1
+    ;;
+  esac
+done < <(grep -n -E 'Heap\.(to_list|replace_all)([^_a-zA-Z]|$)' \
+  lib/storage/database.ml || true)
+
 # no allowlist for nondeterminism: Random.self_init and the global
 # generator are banned outright (Random.State through Gen is the only
 # sanctioned source of randomness)
