@@ -63,6 +63,9 @@ let decide_ok db q =
   | Ok d -> d
   | Error e -> failwith (Eager_robust.Err.to_string e)
 
+let choice d =
+  Placement.mode_to_string (Planner.chosen_candidate d).Placement.mode
+
 let plan_report name db q =
   Printf.printf "%s\n" (Format.asprintf "%a@." Canonical.pp q);
   Printf.printf "TestFD: %s\n" (Testfd.verdict_to_string (Testfd.test db q));
@@ -74,15 +77,14 @@ let plan_report name db q =
   let d = decide_ok db q in
   Printf.printf "%-24s %12s %12s %12s\n" name "rows" "est. cost" "time (ms)";
   Printf.printf "%-24s %12d %12.0f %12.2f\n" "plan1 (lazy)"
-    (Heap.length h1) d.Planner.cost_lazy t1;
+    (Heap.length h1) (Planner.lazy_candidate d).Placement.cost t1;
   Printf.printf "%-24s %12d %12s %12.2f\n" "plan2 (eager)"
     (Heap.length h2)
-    (match d.Planner.cost_eager with
-    | Some c -> Printf.sprintf "%.0f" c
+    (match Planner.eager_candidate d with
+    | Some p -> Printf.sprintf "%.0f" p.Placement.cost
     | None -> "-")
     t2;
-  Printf.printf "optimizer chooses: %s\n"
-    (Planner.kind_to_string d.Planner.chosen_kind);
+  Printf.printf "optimizer chooses: %s\n" (choice d);
   Printf.printf "results identical: %b\n"
     (Exec.multiset_equal (Heap.to_list h1) (Heap.to_list h2))
 
@@ -281,13 +283,15 @@ let sweep_report title points =
       let d = decide_ok db q in
       let (_, _, t1), (_, _, t2) = run_both db q in
       Printf.printf "%-12.2f %12.0f %12.0f %12.2f %12.2f  %s\n" p.Sweep.knob
-        d.Planner.cost_lazy
-        (Option.value d.Planner.cost_eager ~default:nan)
+        (Planner.lazy_candidate d).Placement.cost
+        (match Planner.eager_candidate d with
+        | Some p -> p.Placement.cost
+        | None -> nan)
         t1 t2
-        (match d.Planner.chosen_kind with
-        | Planner.Eager_group -> "eager (E2)"
-        | Planner.Eager_partial_group -> "eager partial"
-        | Planner.Lazy_group -> "lazy (E1)"))
+        (match (Planner.chosen_candidate d).Placement.mode with
+        | Placement.Eager_full -> "eager (E2)"
+        | Placement.Eager_partial -> "eager partial"
+        | Placement.Lazy -> "lazy (E1)"))
     points;
   Printf.printf
     "(%s: eager wins where the group-by shrinks the join input most)\n" title
@@ -534,9 +538,7 @@ let report_nway () =
     d.Planner.candidates;
   Printf.printf "%-32s %10s %10s %12s\n" "" "rows" "ms" "peak live";
   Printf.printf "%-32s %10d %10.2f %12d\n" "forced E1" rows1 t1 peak1;
-  Printf.printf "%-32s %10d %10.2f %12d\n"
-    (Planner.kind_to_string d.Planner.chosen_kind)
-    rows2 t2 peak2;
+  Printf.printf "%-32s %10d %10.2f %12d\n" (choice d) rows2 t2 peak2;
   print_endline
     "(the full eager push is invalid here — suppliers share regions, so \
      TestFD says NO\n\
@@ -943,10 +945,10 @@ let report_json path =
         let d = decide_ok db q in
         let h1, t1, prof1 = profiled db (Plans.e1 db q) in
         let e2_field =
-          match d.Planner.plan_eager with
+          match Planner.eager_candidate d with
           | None -> "null"
           | Some p2 ->
-              let h2, t2, prof2 = profiled db p2 in
+              let h2, t2, prof2 = profiled db p2.Placement.plan in
               plan_obj h2 t2 prof2
         in
         Printf.sprintf
@@ -956,7 +958,7 @@ let report_json path =
           \     \"e2\": %s}"
           (json_escape name) !seed
           (json_escape (Testfd.verdict_to_string d.Planner.verdict))
-          (json_escape (Planner.kind_to_string d.Planner.chosen_kind))
+          (json_escape (choice d))
           (plan_obj h1 t1 prof1) e2_field)
       (json_workloads ())
   in
@@ -1005,7 +1007,7 @@ let report_json path =
       \     \"e1\": %s,\n\
       \     \"best_placement\": %s}"
       !seed
-      (json_escape (Planner.kind_to_string d.Planner.chosen_kind))
+      (json_escape (choice d))
       (String.concat ", " ranked)
       (side rows1 t1 peak1) (side rows2 t2 peak2)
   in

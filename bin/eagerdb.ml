@@ -4,10 +4,11 @@
    Subcommands:
      run FILE     execute a SQL script (SELECTs print results; EXPLAIN
                   SELECT prints the optimizer's reasoning and both plans)
-     demo NAME    run a built-in workload report (fig1 | fig8 | ex3 | parts)
+     demo NAME    run a built-in workload report (fig1 | fig8 | ex3 | parts
+                  | sales): EXPLAIN, then every ranked placement executed
+                  and checked against E1
 *)
 
-open Eager_schema
 open Eager_storage
 open Eager_exec
 open Eager_core
@@ -16,104 +17,12 @@ open Eager_parser
 open Eager_durable
 open Eager_workload
 open Eager_robust
-
-let print_table heap =
-  let schema = Heap.schema heap in
-  let headers =
-    Array.map (fun (c, _) -> Colref.to_string c) (Schema.cols schema)
-  in
-  let rows =
-    Heap.to_list heap
-    |> List.map (fun row -> Array.map Eager_value.Value.to_string row)
-  in
-  let ncols = Array.length headers in
-  let widths = Array.map String.length headers in
-  List.iter
-    (fun row ->
-      Array.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s)) row)
-    rows;
-  let line cells =
-    String.concat " | "
-      (List.init ncols (fun i ->
-           let s = if i < Array.length cells then cells.(i) else "" in
-           s ^ String.make (widths.(i) - String.length s) ' '))
-  in
-  print_endline (line headers);
-  print_endline (String.concat "-+-" (Array.to_list (Array.map (fun w -> String.make w '-') widths)));
-  List.iter (fun r -> print_endline (line r)) rows;
-  Printf.printf "(%d rows)\n" (List.length rows)
-
-type show = Results | Explain | Explain_analyze
+module Server = Eager_server.Server
 
 (* A query failure is a diagnostic, not a process death: the governor or
    an execution error aborts only the statement, and the session (and
    database) stays usable. *)
 let print_err e = Printf.printf "error: %s\n" (Err.to_string e)
-
-let run_query db (q : Binder.bound_query) ~limits ~order ~(show : show) =
-  (* fresh governor per statement: the deadline clock starts here; on a
-     paged database the breakers also get a fresh spill budget and the
-     planner costs page IOs *)
-  let governor = Governor.create limits in
-  let options =
-    { Exec.default_options with governor; spill = Spill.for_db db }
-  in
-  let io = Cost.default_io db in
-  let checked plan k =
-    match Exec.run_checked ~options db plan with
-    | Ok (heap, stats) -> k (heap, stats)
-    | Error e -> print_err e
-  in
-  let analyze plan =
-    let t0 = Unix.gettimeofday () in
-    checked (Binder.apply_order order plan) (fun (heap, stats) ->
-        Printf.printf "%s(%d rows in %.2f ms)\n" (Optree.to_string stats)
-          (Heap.length heap)
-          ((Unix.gettimeofday () -. t0) *. 1000.))
-  in
-  let finish plan =
-    match show with
-    | Explain ->
-        print_endline (Eager_algebra.Plan.to_string (Binder.apply_order order plan))
-    | Explain_analyze -> analyze plan
-    | Results ->
-        checked (Binder.apply_order order plan) (fun (heap, _) ->
-            print_table heap)
-  in
-  match q with
-  | Binder.Grouped input -> (
-      match Canonical.of_input db input with
-      | Ok cq -> (
-          match Planner.decide ~governor ?io db cq with
-          | Error e -> print_err e
-          | Ok decision -> (
-              match show with
-              | Explain ->
-                  print_string (Explain.text db decision);
-                  if order <> [] then
-                    print_endline "-- final output sorted per ORDER BY"
-              | Explain_analyze ->
-                  Printf.printf "-- plan: %s\n"
-                    (Planner.kind_to_string decision.Planner.chosen_kind);
-                  analyze decision.Planner.chosen
-              | Results ->
-                  let plan = Binder.apply_order order decision.Planner.chosen in
-                  checked plan (fun (heap, _) ->
-                      print_table heap;
-                      Printf.printf "-- plan: %s\n"
-                        (Planner.kind_to_string decision.Planner.chosen_kind))))
-      | Error reason -> (
-          (* outside the canonical class: run the straightforward plan *)
-          match Binder.to_plan db q with
-          | Ok plan ->
-              if show <> Results then
-                Printf.printf "-- not in the transformable class: %s\n" reason;
-              finish plan
-          | Error msg -> Printf.printf "error: %s\n" msg))
-  | _ -> (
-      match Binder.to_plan db q with
-      | Ok plan -> finish plan
-      | Error msg -> Printf.printf "error: %s\n" msg)
 
 (* --faults "point@n,point2@m" arms deterministic one-shots; --fault-seed
    with --fault-rate arms a seeded random schedule over every registered
@@ -173,6 +82,21 @@ let arm_faults ?fault_points spec seed rate =
   | None -> ()
   | Some seed -> Fault.arm_seeded ~seed ~rate ?points ()
 
+(* SELECT and EXPLAIN run through the server's query path; a fresh
+   governor per statement starts the deadline clock here.  Binder
+   failures print untagged, as they do when they stop a script. *)
+let query db q ~limits ~order ~show =
+  let buf = Buffer.create 1024 in
+  let result =
+    Server.run_query_buf db q ~governor:(Governor.create limits) ~order
+      ~show buf
+  in
+  print_string (Buffer.contents buf);
+  match result with
+  | Ok () -> ()
+  | Error e when Err.kind e = Err.Bind -> Printf.printf "error: %s\n" (Err.msg e)
+  | Error e -> print_err e
+
 let print_outcome db ~limits = function
   | Binder.Created msg -> Printf.printf "%s\n" msg
   | Binder.Inserted n -> Printf.printf "%d row(s) inserted\n" n
@@ -183,10 +107,10 @@ let print_outcome db ~limits = function
       Printf.printf "backup written to %s at wal lsn %d\n" dir lsn
   | Binder.Promoted lsn ->
       Printf.printf "promoted to primary at wal lsn %d\n" lsn
-  | Binder.Query (q, order) -> run_query db q ~limits ~order ~show:Results
+  | Binder.Query (q, order) -> query db q ~limits ~order ~show:Server.Results
   | Binder.Explained (q, order, an) ->
-      run_query db q ~limits ~order
-        ~show:(if an then Explain_analyze else Explain)
+      query db q ~limits ~order
+        ~show:(if an then Server.Explain_analyze else Server.Explain)
 
 let print_recovery dir (r : Durable.recovery) =
   let opt n fmt = if n = 0 then [] else [ Printf.sprintf fmt n ] in
@@ -371,18 +295,24 @@ let demo name =
           exit 1
     in
     print_string (Explain.text db decision);
-    let h1, s1 = Exec.run db (Plans.e1 db q) in
-    print_endline "-- executed E1:";
-    print_endline (Optree.to_string s1);
-    (match decision.Planner.plan_eager with
-    | Some p2 ->
-        let h2, s2 = Exec.run db p2 in
-        print_endline "-- executed E2:";
-        print_endline (Optree.to_string s2);
-        Printf.printf "results equal: %b\n"
-          (Exec.multiset_equal (Heap.to_list h1) (Heap.to_list h2))
-    | None -> ());
-    0
+    (* execute every candidate and hold each to the lazy E1 rows *)
+    let rows (p : Placement.t) =
+      let h, s = Exec.run db p.Placement.plan in
+      Printf.printf "-- executed %s:\n%s\n" (Placement.describe p)
+        (Optree.to_string s);
+      Heap.to_list h
+    in
+    let lazy_rows = rows (Planner.lazy_candidate decision) in
+    let equal =
+      List.fold_left
+        (fun ok (p : Placement.t) ->
+          (p.Placement.mode = Placement.Lazy
+          || Exec.multiset_equal lazy_rows (rows p))
+          && ok)
+        true decision.Planner.candidates
+    in
+    Printf.printf "results equal: %b\n" equal;
+    if equal then 0 else 1
   in
   match name with
   | "fig1" ->

@@ -41,23 +41,23 @@ let () =
   let w = Employee_dept.setup ~employees ~departments () in
   let d, t1, t2 = describe w.Employee_dept.db w.Employee_dept.query in
   Printf.printf "E1 cost %.0f (%.1f ms)  E2 cost %s (%.1f ms)  -> %s\n"
-    d.Planner.cost_lazy t1
-    (match d.Planner.cost_eager with
-    | Some c -> Printf.sprintf "%.0f" c
+    (Planner.lazy_candidate d).Placement.cost t1
+    (match Planner.eager_candidate d with
+    | Some p -> Printf.sprintf "%.0f" p.Placement.cost
     | None -> "-")
     t2
-    (Planner.kind_to_string d.Planner.chosen_kind);
+    (Placement.mode_to_string (Planner.chosen_candidate d).Placement.mode);
 
   Printf.printf "\n== Figure 8 shape: valid but disadvantageous ==\n";
   let c = Contrived.setup () in
   let d, t1, t2 = describe c.Contrived.db c.Contrived.query in
   Printf.printf "E1 cost %.0f (%.1f ms)  E2 cost %s (%.1f ms)  -> %s\n"
-    d.Planner.cost_lazy t1
-    (match d.Planner.cost_eager with
-    | Some c -> Printf.sprintf "%.0f" c
+    (Planner.lazy_candidate d).Placement.cost t1
+    (match Planner.eager_candidate d with
+    | Some p -> Printf.sprintf "%.0f" p.Placement.cost
     | None -> "-")
     t2
-    (Planner.kind_to_string d.Planner.chosen_kind);
+    (Placement.mode_to_string (Planner.chosen_candidate d).Placement.mode);
 
   Printf.printf "\n== Fan-in sweep (employees fixed at %d) ==\n" employees;
   Printf.printf "%12s %12s %12s %10s %10s  %s\n" "rows/group" "cost E1"
@@ -66,13 +66,15 @@ let () =
     (fun p ->
       let d, t1, t2 = describe p.Sweep.db p.Sweep.query in
       Printf.printf "%12.1f %12.0f %12.0f %10.1f %10.1f  %s\n" p.Sweep.knob
-        d.Planner.cost_lazy
-        (Option.value d.Planner.cost_eager ~default:nan)
+        (Planner.lazy_candidate d).Placement.cost
+        (match Planner.eager_candidate d with
+        | Some p -> p.Placement.cost
+        | None -> nan)
         t1 t2
-        (match d.Planner.chosen_kind with
-        | Planner.Eager_group -> "E2"
-        | Planner.Eager_partial_group -> "E2p"
-        | Planner.Lazy_group -> "E1"))
+        (match (Planner.chosen_candidate d).Placement.mode with
+        | Placement.Eager_full -> "E2"
+        | Placement.Eager_partial -> "E2p"
+        | Placement.Lazy -> "E1"))
     (Sweep.by_fanin ~employees ~departments:[ 10; 100; 1000; employees ] ());
 
   Printf.printf "\n== Selectivity sweep (%d employees, %d departments) ==\n"
@@ -83,12 +85,14 @@ let () =
     (fun p ->
       let d, t1, t2 = describe p.Sweep.db p.Sweep.query in
       Printf.printf "%12.2f %12.0f %12.0f %10.1f %10.1f  %s\n" p.Sweep.knob
-        d.Planner.cost_lazy
-        (Option.value d.Planner.cost_eager ~default:nan)
+        (Planner.lazy_candidate d).Placement.cost
+        (match Planner.eager_candidate d with
+        | Some p -> p.Placement.cost
+        | None -> nan)
         t1 t2
-        (match d.Planner.chosen_kind with
-        | Planner.Eager_group -> "E2"
-        | Planner.Eager_partial_group -> "E2p"
-        | Planner.Lazy_group -> "E1"))
+        (match (Planner.chosen_candidate d).Placement.mode with
+        | Placement.Eager_full -> "E2"
+        | Placement.Eager_partial -> "E2p"
+        | Placement.Lazy -> "E1"))
     (Sweep.by_selectivity ~employees ~departments
        ~fractions:[ 0.01; 0.1; 0.5; 1.0 ] ())

@@ -59,13 +59,13 @@ let () =
     | Error e -> failwith (Eager_robust.Err.to_string e)
   in
   Printf.printf "cost, materialise-view strategy (E2): %s\n"
-    (match d.Planner.cost_eager with
-    | Some c -> Printf.sprintf "%.0f" c
+    (match Planner.eager_candidate d with
+    | Some p -> Printf.sprintf "%.0f" p.Placement.cost
     | None -> "-");
   Printf.printf "cost, flattened strategy        (E1): %.0f\n"
-    d.Planner.cost_lazy;
+    (Planner.lazy_candidate d).Placement.cost;
   Printf.printf "optimizer picks: %s\n"
-    (Planner.kind_to_string d.Planner.chosen_kind);
+    (Placement.mode_to_string (Planner.chosen_candidate d).Placement.mode);
   let rv = Exec.run_rows db (Reverse.plan_of db q Reverse.Materialize_view) in
   let rf = Exec.run_rows db (Reverse.plan_of db q Reverse.Flatten) in
   Printf.printf "both strategies return identical results: %b\n"

@@ -57,7 +57,7 @@ let () =
   let q = Canonical.of_input_exn db bound in
 
   (* is group-by-before-join valid?  (Main Theorem via TestFD) *)
-  (match Eager.validate db q with
+  (match Testfd.test db q with
   | Testfd.Yes -> print_endline "TestFD: YES — the group-by may be pushed below the join"
   | Testfd.No r -> Printf.printf "TestFD: NO (%s)\n" r);
 
@@ -88,6 +88,8 @@ let () =
       print_newline ())
     heap;
   (* sanity: both plans agree *)
-  let rows_lazy = Exec.run_rows db decision.Planner.plan_lazy in
+  let rows_lazy =
+    Exec.run_rows db (Planner.lazy_candidate decision).Placement.plan
+  in
   Printf.printf "\nlazy plan agrees with the chosen plan: %b\n"
     (Exec.multiset_equal rows_lazy (Heap.to_list heap))

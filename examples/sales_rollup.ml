@@ -24,11 +24,11 @@ let () =
   in
   Printf.printf "\nTestFD: %s\n" (Testfd.verdict_to_string d.Planner.verdict);
   Printf.printf "cost lazy (E1): %.0f   cost eager (E2): %s   chosen: %s\n"
-    d.Planner.cost_lazy
-    (match d.Planner.cost_eager with
-    | Some c -> Printf.sprintf "%.0f" c
+    (Planner.lazy_candidate d).Placement.cost
+    (match Planner.eager_candidate d with
+    | Some p -> Printf.sprintf "%.0f" p.Placement.cost
     | None -> "-")
-    (Planner.kind_to_string d.Planner.chosen_kind);
+    (Placement.mode_to_string (Planner.chosen_candidate d).Placement.mode);
 
   (* run the chosen plan, top five customers by revenue *)
   let sorted =

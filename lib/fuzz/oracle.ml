@@ -1,7 +1,8 @@
 (* The Main Theorem as an executable oracle.
 
-   Each instance is executed three ways — forced E1, forced E2 (when
-   admissible), planner's choice — and the results are cross-checked
+   Each instance is executed three ways — forced E1, forced E2 (the
+   full placement at the default R1 cut, when admissible), planner's
+   choice — and the results are cross-checked
    under SQL2 bag semantics with NULL-aware grouping.  Only directions
    that are actual theorems are enforced:
 
@@ -270,7 +271,14 @@ let check_instance ?(equal = Exec.multiset_equal) ?(faults = true)
     (* (a): forced E2 agrees when TestFD certifies; refused (typed) when
        it does not *)
     let e2_info =
-      match (Planner.decide ~force:Planner.E2 db q, verdict) with
+      match
+        ( Planner.decide
+            ~force:
+              (Planner.Force_placement
+                 { below = Planner.default_cut q; partial = false })
+            db q,
+          verdict )
+      with
       | Ok d2, Testfd.Yes ->
           let rows2 =
             run_exn ~tag:"e2-run" ~what:"forced E2" db d2.Planner.chosen
@@ -306,7 +314,8 @@ let check_instance ?(equal = Exec.multiset_equal) ?(faults = true)
           viol "choice-mismatch"
             "planner's unforced choice (%s) diverges from forced E1: \
              got %s, want %s"
-            (Planner.kind_to_string dc.Planner.chosen_kind)
+            (Placement.mode_to_string
+               (Planner.chosen_candidate dc).Placement.mode)
             (rows_to_string rc) (rows_to_string rows1)
     | Error e ->
         viol "choice-plan" "unforced planning failed: %s" (Err.to_string e));

@@ -1,7 +1,8 @@
 (** The Main Theorem as an executable oracle.
 
-    Executes one instance three ways — forced E1, forced E2, planner's
-    choice — and cross-checks the results under bag semantics with
+    Executes one instance three ways — forced E1, forced E2 (the full
+    placement at {!Eager_opt.Planner.default_cut}), planner's choice —
+    and cross-checks the results under bag semantics with
     NULL-aware grouping, enforcing only directions that are theorems:
 
     - (a) TestFD YES ⇒ all three executions are bag-equal; TestFD NO ⇒

@@ -12,21 +12,24 @@ type t = {
   eager_breakdown : Cost.breakdown option;
   fallback : string option;
   forced : string option;
-  chosen_kind : Planner.kind;
+  chosen : Placement.mode;
   placements : entry list;
   statistics : stats_age list;
 }
 
 let of_decision db (d : Planner.decision) =
+  let lazy_plan = (Planner.lazy_candidate d).Placement.plan in
   {
     verdict = d.Planner.verdict;
     expanded_atoms = d.Planner.expanded_atoms;
-    lazy_breakdown = Cost.breakdown db d.Planner.plan_lazy;
+    lazy_breakdown = Cost.breakdown db lazy_plan;
     eager_breakdown =
-      Option.map (fun p -> Cost.breakdown db p) d.Planner.plan_eager;
+      Option.map
+        (fun (p : Placement.t) -> Cost.breakdown db p.Placement.plan)
+        (Planner.eager_candidate d);
     fallback = d.Planner.fallback;
     forced = Option.map Planner.force_to_string d.Planner.forced;
-    chosen_kind = d.Planner.chosen_kind;
+    chosen = (Planner.chosen_candidate d).Placement.mode;
     placements =
       List.mapi
         (fun i (p : Placement.t) ->
@@ -38,7 +41,7 @@ let of_decision db (d : Planner.decision) =
           })
         d.Planner.candidates;
     statistics =
-      Eager_algebra.Plan.tables d.Planner.plan_lazy
+      Eager_algebra.Plan.tables lazy_plan
       |> List.fold_left
            (fun seen tb -> if List.mem tb seen then seen else tb :: seen)
            []
@@ -77,7 +80,7 @@ let render t =
   | None -> ());
   Buffer.add_string buf
     (Printf.sprintf "chosen: %s%s\n"
-       (Planner.kind_to_string t.chosen_kind)
+       (Placement.mode_to_string t.chosen)
        (match t.forced with Some _ -> " [forced]" | None -> ""));
   (match t.placements with
   | [] | [ _ ] -> () (* a lone E1 candidate adds nothing to the ranking *)

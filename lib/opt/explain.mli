@@ -2,13 +2,16 @@
 
     {!of_decision} captures everything EXPLAIN reports as a typed value —
     tests assert on these fields, not on rendered substrings — and
-    {!render} is the single place that turns it into text.  The textual
+    {!render} is the single place that turns it into text.  Everything
+    is read off the decision's candidates: the E1 block is the lazy
+    candidate ({!Planner.lazy_candidate}), the E2 block the full
+    placement at the default cut ({!Planner.eager_candidate}), the
+    [chosen:] line the mode of {!Planner.chosen_candidate}.  The textual
     prefix (TestFD verdict, expansion count, E1/E2 cost breakdowns,
-    fallback, strategy reason, chosen line) is byte-for-byte the format
-    the planner printed before placements existed; the ranked-placements
-    section and then one [statistics:] line per base table (how far the
-    table has moved since its statistics were collected) are appended
-    after the [chosen:] line. *)
+    fallback, strategy reason, chosen line) keeps the paper's two-plan
+    format; the ranked-placements section and then one [statistics:]
+    line per base table (how far the table has moved since its
+    statistics were collected) are appended after the [chosen:] line. *)
 
 open Eager_core
 open Eager_storage
@@ -29,11 +32,12 @@ type stats_age = {
 type t = {
   verdict : Testfd.verdict;
   expanded_atoms : int;
-  lazy_breakdown : Cost.breakdown;
+  lazy_breakdown : Cost.breakdown;  (** the lazy E1 candidate *)
   eager_breakdown : Cost.breakdown option;
+      (** the full placement at the default cut, when TestFD verified it *)
   fallback : string option;
   forced : string option;  (** {!Planner.force_to_string} when forced *)
-  chosen_kind : Planner.kind;
+  chosen : Placement.mode;  (** the mode of the chosen candidate *)
   placements : entry list;  (** cheapest first; singleton when only E1 *)
   statistics : stats_age list;
       (** one per base table of the lazy plan, in scan order *)

@@ -11,13 +11,13 @@ type t = {
 }
 
 let mode_to_string = function
-  | Lazy -> "lazy"
-  | Eager_full -> "eager full"
-  | Eager_partial -> "eager partial"
+  | Lazy -> "group after join (E1)"
+  | Eager_full -> "group before join (E2)"
+  | Eager_partial -> "partial group before join (E2p)"
 
 let describe t =
   match t.mode with
-  | Lazy -> "group after join (E1)"
+  | Lazy -> mode_to_string Lazy
   | Eager_full ->
       Printf.sprintf "eager full below {%s}" (String.concat ", " t.below)
   | Eager_partial ->

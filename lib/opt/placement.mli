@@ -40,6 +40,9 @@ val describe : t -> string
 (** One-line human label, e.g. ["eager full below {p, s}"]. *)
 
 val mode_to_string : mode -> string
+(** The strategy label EXPLAIN and the [-- plan:] result footer print:
+    ["group after join (E1)"], ["group before join (E2)"] or
+    ["partial group before join (E2p)"]. *)
 
 val sides :
   Database.t -> Canonical.t -> Plan.t * Plan.t

@@ -17,29 +17,31 @@ open Eager_storage
 open Eager_algebra
 open Eager_robust
 
-type kind = Lazy_group | Eager_group | Eager_partial_group
-
 type force =
-  | E1
-  | E2
+  | E1  (** the canonical lazy plan; always admissible *)
   | Force_placement of { below : string list; partial : bool }
       (** demand the aggregation be placed below exactly this cut —
           fully ([partial = false], requires TestFD = YES at the cut) or
           partially ([partial = true], requires decomposable
-          aggregates) *)
+          aggregates).  The paper's forced E2 is the full placement at
+          {!default_cut}. *)
 (** Force hooks for differential testing: bypass the cost comparison and
     demand one specific strategy.  Unsound demands are refused with a
     typed error — forcing never compromises soundness. *)
 
 type decision = {
-  verdict : Testfd.verdict;  (** TestFD at the default (classic R1/R2) cut *)
-  plan_lazy : Plan.t;
-  cost_lazy : float;
-  plan_eager : Plan.t option;
-      (** the full E2 plan at the default cut, when TestFD verified it *)
-  cost_eager : float option;
+  verdict : Testfd.verdict;
+      (** TestFD at the default (classic R1/R2) cut, or the reason the
+          planner could not run it; no candidate carries this when the
+          answer is NO *)
   chosen : Plan.t;
-  chosen_kind : kind;
+      (** the plan to run: physically equal ([==]) to exactly one
+          candidate's [plan] (see {!chosen_candidate}) *)
+  candidates : Placement.t list;
+      (** every costed placement, cheapest first (ties favour earlier
+          entries, so E1 wins a dead heat); always holds the lazy E1
+          candidate.  [chosen] is the head unless forcing or a fallback
+          intervened *)
   expanded_atoms : int;
       (** predicate-expansion bindings derived before planning (paper
           Example 3's closing optimization); 0 when [expand:false] *)
@@ -50,10 +52,6 @@ type decision = {
   forced : force option;
       (** set when the caller forced the strategy; EXPLAIN reports the
           forced strategy as the reason instead of the cost comparison *)
-  candidates : Placement.t list;
-      (** every costed placement, cheapest first (ties favour earlier
-          entries, so E1 wins a dead heat); [chosen] is the head unless
-          forcing or a fallback intervened *)
 }
 
 val decide :
@@ -88,10 +86,21 @@ val decide :
     pure row-touch figures.
 
     [force] bypasses the cost comparison: [E1] always yields the
-    canonical plan; [E2] yields the full eager plan at the default cut
-    {i only} when TestFD answers YES; [Force_placement] pins the cut
-    (and mode) explicitly.  Refused demands are [Error]s of kind
-    [Planner]. *)
+    canonical plan; [Force_placement] pins the cut (and mode) and yields
+    that placement {i only} when it is admissible there.  Refused
+    demands are [Error]s of kind [Planner]. *)
 
-val kind_to_string : kind -> string
 val force_to_string : force -> string
+
+val default_cut : Canonical.t -> string list
+(** R1's range variables: the cut of the paper's two-sided E2. *)
+
+val chosen_candidate : decision -> Placement.t
+(** The candidate whose plan is [chosen]. *)
+
+val lazy_candidate : decision -> Placement.t
+(** The lazy E1 candidate. *)
+
+val eager_candidate : decision -> Placement.t option
+(** The full placement at the default cut — the paper's E2 — when
+    TestFD verified it there and it was costed. *)

@@ -474,7 +474,7 @@ let enqueue t req =
     Ok ()
   end
 
-(* ---------- query rendering (the server-side twin of bin's printer) ---------- *)
+(* ---------- query rendering (shared with the CLI's script runner) ---------- *)
 
 let render_table buf heap =
   let schema = Heap.schema heap in
@@ -510,6 +510,9 @@ let render_table buf heap =
   Buffer.add_string buf (Printf.sprintf "(%d rows)\n" (List.length rows))
 
 type show = Results | Explain | Explain_analyze
+
+let plan_label d =
+  Placement.mode_to_string (Planner.chosen_candidate d).Placement.mode
 
 let run_query_buf db (q : Binder.bound_query) ~governor ~order ~show buf =
   let ( let* ) = Err.( let* ) in
@@ -552,15 +555,13 @@ let run_query_buf db (q : Binder.bound_query) ~governor ~order ~show buf =
               if order <> [] then bprintf "-- final output sorted per ORDER BY\n";
               Ok ()
           | Explain_analyze ->
-              bprintf "-- plan: %s\n"
-                (Planner.kind_to_string decision.Planner.chosen_kind);
+              bprintf "-- plan: %s\n" (plan_label decision);
               analyze decision.Planner.chosen
           | Results ->
               let plan = Binder.apply_order order decision.Planner.chosen in
               checked plan (fun (heap, _) ->
                   render_table buf heap;
-                  bprintf "-- plan: %s\n"
-                    (Planner.kind_to_string decision.Planner.chosen_kind)))
+                  bprintf "-- plan: %s\n" (plan_label decision)))
       | Error reason -> (
           match Binder.to_plan db q with
           | Ok plan ->

@@ -101,3 +101,31 @@ val promote : t -> (int, Err.t) result
     the returned LSN.  A typed error on a node that is already primary
     or has no durable backend.  Also reachable in-band as the [PROMOTE]
     statement; this entry point exists for the operator signal path. *)
+
+(** {1 Running one query}
+
+    The read path every front end shares: a server session runs its
+    SELECTs and EXPLAINs through {!run_query_buf}, and so does the CLI's
+    script runner and REPL. *)
+
+type show = Results | Explain | Explain_analyze
+
+val render_table : Buffer.t -> Heap.t -> unit
+(** Append the heap as an aligned text table and a [(N rows)] line. *)
+
+val run_query_buf :
+  Database.t ->
+  Eager_parser.Binder.bound_query ->
+  governor:Governor.t ->
+  order:(Eager_schema.Colref.t * bool) list ->
+  show:show ->
+  Buffer.t ->
+  (unit, Err.t) result
+(** Plan (through {!Eager_opt.Planner.decide} for the transformable
+    class), execute and render one bound query into the buffer.
+    [Results] appends the table and, for a planned query, a
+    [-- plan: <strategy>] footer; [Explain] appends the planner's
+    reasoning ({!Eager_opt.Explain.text}) or the plan tree;
+    [Explain_analyze] appends the executed per-operator cardinalities.
+    On [Error] the buffer holds whatever was rendered before the
+    failure. *)

@@ -691,36 +691,6 @@ let test_reverse () =
   Alcotest.(check bool) "strategies agree" true
     (Eager_exec.Exec.multiset_equal r_view r_flat)
 
-(* ------------------------------------------------------------------ *)
-(* facade *)
-
-let test_eager_facade () =
-  let db = emp_db () in
-  let q = Eager.canonicalize_exn db (emp_input ()) in
-  (match Eager.validate db q with
-  | Testfd.Yes -> ()
-  | Testfd.No r -> Alcotest.fail r);
-  (match Eager.transform db q with
-  | Ok _ -> ()
-  | Error r -> Alcotest.fail r);
-  let text = Eager.explain db q in
-  let contains sub =
-    let n = String.length text and m = String.length sub in
-    let rec go k = k + m <= n && (String.sub text k m = sub || go (k + 1)) in
-    go 0
-  in
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) ("explain mentions " ^ sub) true (contains sub))
-    [ "TestFD: YES"; "Plan E1"; "Plan E2"; "GROUP BY" ];
-  (* invalid query: transform refuses *)
-  let bad =
-    Eager.canonicalize_exn db
-      (emp_input ~group_by:[ cr "D" "Name" ] ~select_cols:[ cr "D" "Name" ] ())
-  in
-  Alcotest.(check bool) "transform refuses invalid" true
-    (Result.is_error (Eager.transform db bad))
-
 let () =
   Alcotest.run "core"
     [
@@ -782,6 +752,5 @@ let () =
         [
           Alcotest.test_case "Example 3 numbers" `Quick test_printer_query_results;
           Alcotest.test_case "reverse transformation" `Quick test_reverse;
-          Alcotest.test_case "facade" `Quick test_eager_facade;
         ] );
     ]

@@ -885,8 +885,15 @@ let test_paged_pool_sweep () =
                 ::
                 (* E2 only where TestFD admits it (star's region rollup
                    fails FD2: SupplierNo is finer than RegionName) *)
-                (match Eager_core.Eager.transform db q with
-                | Ok p -> [ ("E2", p) ]
+                (match
+                   Eager_opt.Planner.decide
+                     ~force:
+                       (Eager_opt.Planner.Force_placement
+                          { below = Eager_opt.Planner.default_cut q;
+                            partial = false })
+                     db q
+                 with
+                | Ok d -> [ ("E2", d.Eager_opt.Planner.chosen) ]
                 | Error _ -> [])
               in
               List.iter

@@ -153,9 +153,13 @@ let test_force_verdicts () =
       | Testfd.Yes -> Alcotest.fail "expected NO on the keyless instance")
   | Error e -> Alcotest.failf "decide: %s" (Err.to_string e)
 
+(* the paper's E2 is the full placement at the default (R1) cut *)
+let force_e2 q =
+  Planner.Force_placement { below = Planner.default_cut q; partial = false }
+
 let test_force_e2_refused_when_invalid () =
   let db, q = build_exn fixed_no in
-  match Planner.decide ~force:Planner.E2 db q with
+  match Planner.decide ~force:(force_e2 q) db q with
   | Ok _ -> Alcotest.fail "forced E2 must be refused when TestFD says NO"
   | Error e ->
       Alcotest.(check string)
@@ -182,7 +186,7 @@ let test_force_explain_says_forced () =
             (Printf.sprintf "explain mentions 'forced' for %s"
                (Planner.force_to_string force))
             true has_forced)
-    [ Planner.E1; Planner.E2 ]
+    [ Planner.E1; force_e2 q ]
 
 (* ------------------------------------------------------------------ *)
 (* the oracle on fixed instances, faults and budgets included *)

@@ -382,7 +382,7 @@ let test_planner_fallback () =
     let d = decide_ok db q in
     Fault.reset ();
     check_contains (name ^ " demotes to E1") "E1"
-      (Planner.kind_to_string d.Planner.chosen_kind);
+      (Placement.mode_to_string (Planner.chosen_candidate d).Placement.mode);
     Alcotest.(check bool) (name ^ " records a reason") true
       (d.Planner.fallback <> None);
     check_contains (name ^ " explain") "fallback" (Explain.text db d)

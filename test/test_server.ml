@@ -226,7 +226,9 @@ let test_concurrent_planning_shared_stats () =
         | Ok d ->
             let rows = Eager_exec.Exec.run_rows view d.Planner.chosen in
             Thread.yield ();
-            go (i - 1) (Ok (d.Planner.chosen_kind, d.Planner.plan_lazy, rows))
+            let lazy_plan = (Planner.lazy_candidate d).Placement.plan in
+            go (i - 1)
+              (Ok ((Planner.chosen_candidate d).Placement.mode, lazy_plan, rows))
     in
     let r =
       try go 10 (Error "no run")
@@ -260,7 +262,7 @@ let test_concurrent_planning_shared_stats () =
   match results.(0), results.(1) with
   | Ok (k0, lazy0, rows0), Ok (k1, _, rows1) ->
       Alcotest.(check string) "same plan kind"
-        (Planner.kind_to_string k0) (Planner.kind_to_string k1);
+        (Placement.mode_to_string k0) (Placement.mode_to_string k1);
       let expected =
         Eager_exec.Ref_eval.eval (Database.reader_view snap) lazy0
       in

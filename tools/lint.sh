@@ -129,13 +129,14 @@ rm -rf "$selftest"
 
 # The two-sided Plans.e1/e2 constructors are the legacy N=2 planning
 # surface: they hard-code one join with aggregation either fully above
-# or fully below it.  All plan construction in lib/ goes through the
-# join-graph pipeline (Qgraph / Placement / Planner) so every query
-# benefits from placement enumeration and the per-cut TestFD gate.
-# Sanctioned: lib/core (where the constructors live) and
-# lib/opt/placement.ml (the bridge that lowers chosen placements onto
-# them).  Any other use in lib/ must carry a `legacy-plan-ok` marker
-# stating why it deliberately bypasses the planner.
+# or fully below it, and E2 skips TestFD.  All plan construction in lib/
+# and bin/ goes through the join-graph pipeline (Qgraph / Placement /
+# Planner) so every query benefits from placement enumeration and the
+# per-cut TestFD gate.  Sanctioned: lib/core (where the constructors
+# live) and lib/opt/placement.ml (the bridge that lowers chosen
+# placements onto them).  Any other use in lib/ or bin/ must carry a
+# `legacy-plan-ok` marker stating why it deliberately bypasses the
+# planner.
 while IFS= read -r hit; do
   line=${hit#*:*:}
   case "$line" in
@@ -147,7 +148,7 @@ while IFS= read -r hit; do
     bad=1
     ;;
   esac
-done < <(grep -rn --include='*.ml' -E 'Plans\.(e1|e2)' lib |
+done < <(grep -rn --include='*.ml' -E 'Plans\.(e1|e2)' lib bin |
   grep -vE '^lib/(core|opt/placement\.ml)' || true)
 
 # Raw page IO is the buffer pool's monopoly: Pager.read/write/alloc
